@@ -11,13 +11,10 @@ from .ecim import (
     DivergenceError,
     EcimConfig,
     EcimTrace,
-    NoiseSource,
     ecim_step,
     gradient_mapping,
-    legacy_clipped_step,
     project_box,
     run_ecim,
-    step_size,
     step_sizes,
 )
 from .model import (
@@ -26,7 +23,6 @@ from .model import (
     build_subproblem,
     energy,
     energy_gradient,
-    model_value,
 )
 from .objectives import (
     ConstantEstimates,
@@ -71,7 +67,6 @@ __all__ = [
     "EcimTrace",
     "ExactBallSolver",
     "GridSolver",
-    "NoiseSource",
     "NumericalError",
     "Objective",
     "OracleCapabilityError",
@@ -95,16 +90,13 @@ __all__ = [
     "gradient_mapping",
     "grid_minimize_box",
     "itrust",
-    "legacy_clipped_step",
     "make_objective",
-    "model_value",
     "problem_suite",
     "project_box",
     "random_box_quadratic",
     "reduction_ratio",
     "run_ecim",
     "solve_subproblem",
-    "step_size",
     "step_sizes",
     "update_radius",
 ]

@@ -19,12 +19,11 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ecim import DivergenceError, EcimConfig, run_ecim
+from .ecim import SCHEDULES, DivergenceError, EcimConfig, run_ecim
 from .model import energy
 from .objectives import (
     estimate_constants,
@@ -45,6 +44,7 @@ from .trust_region import (
     TrustRegionConfig,
     itrust,
 )
+from .writers import write_csv, write_json
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -57,7 +57,7 @@ GAP_FLOOR = 1e-14
 
 # Options that shape the output location, not the experiment itself; they
 # stay out of the config hash.
-_NON_EXPERIMENT_KEYS = {"out", "format", "jobs", "config", "func"}
+_NON_EXPERIMENT_KEYS = {"out", "format", "config", "func"}
 
 
 class InsufficientDataError(ValueError):
@@ -174,25 +174,6 @@ def _config_hash(options: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            out = []
-            for name in fieldnames:
-                v = row.get(name)
-                if isinstance(v, bool):
-                    out.append(int(v))
-                elif isinstance(v, float):
-                    out.append(repr(v))
-                else:
-                    out.append(v)
-            writer.writerow(out)
-
-
 def _write_report(
     out_dir: str,
     name: str,
@@ -205,7 +186,7 @@ def _write_report(
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.{fmt}")
     if fmt == "csv":
-        _write_csv(path, fieldnames, rows)
+        write_csv(path, fieldnames, ([row[k] for k in fieldnames] for row in rows))
     else:
         payload = {
             "command": name,
@@ -219,19 +200,8 @@ def _write_report(
             "rows": rows,
             "summary": summary,
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, default=str)
-            fh.write("\n")
+        write_json(path, payload)
     return path
-
-
-def _run_cells(cells, worker, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, cells))
-    else:
-        results = [worker(cell) for cell in cells]
-    return [row for result in results for row in result]
 
 
 def _solver_spec(options: dict):
@@ -301,11 +271,9 @@ def cmd_solve(options: dict) -> int:
     else:
         trace.to_json(trace_path)
     summary_path = os.path.join(out_dir, f"{stem}.summary.json")
-    with open(summary_path, "w") as fh:
-        payload = dict(summary)
-        payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(
+        summary_path, {**summary, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    )
 
     print(
         f"{problem.name}: f = {summary['f']:.6e}, grad_norm = {grad_norm:.3e}, "
@@ -328,8 +296,7 @@ def _resolution_for(n: int) -> float:
     return {1: 0.001, 2: 0.005, 3: 0.02}.get(n, 0.05)
 
 
-def _verify_cell(args) -> list[dict]:
-    options, seed = args
+def _verify_cell(options: dict, seed: int) -> list[dict]:
     n = options["n"]
     K = options["K"]
     hash_ = _config_hash(options)
@@ -455,9 +422,7 @@ def cmd_verify_bounds(options: dict) -> int:
         print("verify-bounds supports n <= 3 (grid oracle range)", file=sys.stderr)
         return EXIT_USAGE
     seeds = options["seeds"]
-    rows = _run_cells(
-        [(options, seed) for seed in seeds], _verify_cell, options["jobs"]
-    )
+    rows = [row for seed in seeds for row in _verify_cell(options, seed)]
     rows.sort(key=lambda r: (r["check"], r["instance"], r["seed"], r["K"]))
     n_failed = sum(1 for r in rows if not r["passed"])
     summary = {
@@ -483,8 +448,7 @@ def cmd_verify_bounds(options: dict) -> int:
 # rate-fit
 
 
-def _rate_cell(args) -> list[dict]:
-    options, seed = args
+def _rate_cell(options: dict, seed: int) -> dict:
     n = options["n"]
     schedule = options["schedule"]
     hash_ = _config_hash(options)
@@ -553,31 +517,27 @@ def _rate_cell(args) -> list[dict]:
         passed = fit.slope < hi and fit.r_squared >= r2_min
         instance = f"pl-n{n}"
 
-    return [
-        {
-            "instance": instance,
-            "seed": seed,
-            "schedule": schedule,
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "n_points": fit.n_points,
-            "band_lo": lo,
-            "band_hi": hi,
-            "r2_min": r2_min,
-            "passed": bool(passed),
-            "config_hash": hash_,
-            "_ks": ks,
-            "_gaps": gaps,
-        }
-    ]
+    return {
+        "instance": instance,
+        "seed": seed,
+        "schedule": schedule,
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "r_squared": fit.r_squared,
+        "n_points": fit.n_points,
+        "band_lo": lo,
+        "band_hi": hi,
+        "r2_min": r2_min,
+        "passed": bool(passed),
+        "config_hash": hash_,
+        "_ks": ks,
+        "_gaps": gaps,
+    }
 
 
 def cmd_rate_fit(options: dict) -> int:
     seeds = options["seeds"]
-    rows = _run_cells(
-        [(options, seed) for seed in seeds], _rate_cell, options["jobs"]
-    )
+    rows = [_rate_cell(options, seed) for seed in seeds]
     rows.sort(key=lambda r: (r["instance"], r["seed"]))
 
     # Per-seed slopes fluctuate with the noise realization; the rate claim
@@ -649,8 +609,7 @@ def cmd_rate_fit(options: dict) -> int:
 # compare-oracles
 
 
-def _compare_cell(args) -> list[dict]:
-    options, index = args
+def _compare_cell(options: dict, index: int) -> dict:
     dims = options["dims"]
     kinds = ("strongly-convex", "psd", "singular")
     n = dims[index % len(dims)]
@@ -659,13 +618,8 @@ def _compare_cell(args) -> list[dict]:
     hash_ = _config_hash(options)
 
     model = random_box_quadratic(n, seed, kind=kind)
-    consts = estimate_constants(model)
-    cfg = EcimConfig(
-        schedule="fixed",
-        beta0=1.0 / consts.L if consts.L > 0 else 1.0,
-        iterations=options["K"],
-        seed=seed,
-    )
+    # beta0 = None resolves to 1/L in step_sizes.
+    cfg = EcimConfig(schedule="fixed", iterations=options["K"], seed=seed)
     trace = run_ecim(model, cfg)
     ball = exact_ball_minimize(
         model.field, model.symmetric_coupling(), model.delta
@@ -680,30 +634,24 @@ def _compare_cell(args) -> list[dict]:
         and ecim_value >= grid.value - 1e-9
         and (math.isnan(ratio) or ratio >= 0.9)
     )
-    return [
-        {
-            "instance": f"{kind}-n{n}",
-            "seed": seed,
-            "n": n,
-            "kind": kind,
-            "ecim_value": float(ecim_value),
-            "ball_value": float(ball.value),
-            "grid_value": float(grid.value),
-            "ecim_minus_ball": float(ecim_value - ball.value),
-            "ecim_minus_grid": float(ecim_value - grid.value),
-            "coherence_ratio": float(ratio),
-            "passed": bool(passed),
-            "config_hash": hash_,
-        }
-    ]
+    return {
+        "instance": f"{kind}-n{n}",
+        "seed": seed,
+        "n": n,
+        "kind": kind,
+        "ecim_value": float(ecim_value),
+        "ball_value": float(ball.value),
+        "grid_value": float(grid.value),
+        "ecim_minus_ball": float(ecim_value - ball.value),
+        "ecim_minus_grid": float(ecim_value - grid.value),
+        "coherence_ratio": float(ratio),
+        "passed": bool(passed),
+        "config_hash": hash_,
+    }
 
 
 def cmd_compare_oracles(options: dict) -> int:
-    rows = _run_cells(
-        [(options, i) for i in range(options["count"])],
-        _compare_cell,
-        options["jobs"],
-    )
+    rows = [_compare_cell(options, i) for i in range(options["count"])]
     rows.sort(key=lambda r: (r["instance"], r["seed"]))
     n_failed = sum(1 for r in rows if not r["passed"])
     ratios = [r["coherence_ratio"] for r in rows if not math.isnan(r["coherence_ratio"])]
@@ -763,10 +711,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="report format"
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
+]:
+    """The ``itrust`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="itrust",
         description="Trust-region optimization with a simulated Ising-machine "
@@ -782,11 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=2000, help="machine iterations")
     p.add_argument("--beta0", type=_parse_beta0, default=None)
     p.add_argument("--sigma2", type=float, default=0.0)
-    p.add_argument(
-        "--schedule",
-        choices=("fixed", "fixed-horizon", "decreasing"),
-        default="fixed",
-    )
+    p.add_argument("--schedule", choices=SCHEDULES, default="fixed")
     p.add_argument("--modulate-noise", action="store_true")
     p.add_argument("--delta0", type=float, default=1.0)
     p.add_argument("--delta-max", type=float, default=100.0)
@@ -836,61 +782,63 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_list_problems)
 
-    return parser
+    return parser, sub.choices
 
 
-_FILE_CONVERTERS = {
-    "problem": str,
-    "solver": str,
-    "seed": int,
-    "seeds": _parse_seeds,
-    "K": int,
-    "T": int,
-    "beta0": _parse_beta0,
-    "sigma2": float,
-    "schedule": str,
-    "modulate_noise": lambda s: s.lower() in ("1", "true", "yes"),
-    "delta0": float,
-    "delta_max": float,
-    "mu": float,
-    "eta": float,
-    "gtol": float,
-    "resolution": float,
-    "use_scaling": lambda s: s.lower() in ("1", "true", "yes"),
-    "warm_start": lambda s: s.lower() in ("1", "true", "yes"),
-    "n": int,
-    "ks": _parse_ks,
-    "count": int,
-    "dims": _parse_ks,
-    "out": str,
-    "format": str,
-    "jobs": int,
-}
+def _file_value(action: argparse.Action, raw: str):
+    """Convert a file value as the command line would: with the action's
+    type and choices, or, for a store_true flag, on for 1, true or yes."""
+    if action.nargs == 0:
+        return raw.lower() in ("1", "true", "yes")
+    value = action.type(raw) if action.type else raw
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(
+            f"{action.dest}: invalid choice {raw!r} (choose from {choices})"
+        )
+    return value
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """File values fill in options the command line left at their defaults."""
+def _apply_config_file(
+    args: argparse.Namespace,
+    argv: list[str],
+    subcommands: dict[str, argparse.ArgumentParser],
+) -> None:
+    """File values fill in options the command line left at their defaults.
+
+    A key that only another subcommand accepts is skipped; a key that no
+    subcommand accepts is an error.
+    """
     if not getattr(args, "config", None):
         return
     values = read_config_file(args.config)
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
+    actions = {
+        name: {
+            a.dest: a
+            for a in p._actions
+            if a.option_strings and a.dest not in ("help", "config")
+        }
+        for name, p in subcommands.items()
+    }
+    explicit = {
+        token[2:].split("=", 1)[0].replace("-", "_")
+        for token in argv
+        if token.startswith("--")
+    }
+    own = actions[args.command]
     for key, raw in values.items():
-        if key not in _FILE_CONVERTERS:
+        if not any(key in known for known in actions.values()):
             raise ValueError(f"unknown config key {key!r}")
-        if key in explicit or not hasattr(args, key):
-            continue
-        setattr(args, key, _FILE_CONVERTERS[key](raw))
+        if key in own and key not in explicit:
+            setattr(args, key, _file_value(own[key], raw))
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, subcommands = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        _apply_config_file(args, argv, subcommands)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -905,6 +853,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        # Out-of-range option values, rejected by the config dataclasses.
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DivergenceError, NumericalError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

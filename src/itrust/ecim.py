@@ -2,28 +2,23 @@
 
 The machine relaxes the box-constrained quadratic energy with the update
 ``s(k+1) = clip(s(k) - beta_k * (grad E(s(k)) - zeta(k)))`` where ``zeta`` is
-isotropic Gaussian injection noise. A legacy clipped update without the box
-projection is kept for comparison against the older amplitude dynamics.
+isotropic Gaussian injection noise.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import QuadraticModel, energy_gradient
+from .writers import write_csv, write_json
 
 SCHEDULES = ("fixed", "fixed-horizon", "decreasing")
 
 # Energies past this magnitude abort the run before overflow turns into nan.
 DIVERGENCE_LIMIT = 1e12
-
-# Amplitude threshold of the legacy clipped update.
-LEGACY_CLIP = 0.4
 
 
 class DivergenceError(RuntimeError):
@@ -35,21 +30,6 @@ class DivergenceError(RuntimeError):
         )
         self.iteration = iteration
         self.value = value
-
-
-class NoiseSource:
-    """Reproducible isotropic Gaussian sampler: same seed, same stream."""
-
-    def __init__(self, sigma2: float, seed: int):
-        if sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-        self.sigma = math.sqrt(sigma2)
-        self._rng = np.random.default_rng(seed)
-
-    def sample(self, n: int) -> np.ndarray:
-        if self.sigma == 0.0:
-            return np.zeros(n)
-        return self._rng.normal(0.0, self.sigma, n)
 
 
 @dataclass(frozen=True)
@@ -83,17 +63,6 @@ class EcimConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
-def step_size(schedule: str, beta0: float, k: int, horizon: int) -> float:
-    """Step size beta_k for iteration k of a run with the given horizon."""
-    if schedule == "fixed":
-        return beta0
-    if schedule == "fixed-horizon":
-        return beta0 / math.sqrt(horizon)
-    if schedule == "decreasing":
-        return beta0 / (k + 1)
-    raise ValueError(f"unknown schedule {schedule!r}")
-
-
 def step_sizes(config: EcimConfig, model: QuadraticModel) -> np.ndarray:
     """Full (beta_0, ..., beta_{K-1}) sequence, resolving beta0 = None to 1/L."""
     beta0 = config.beta0
@@ -121,25 +90,6 @@ def ecim_step(
     """One projected noisy gradient step on the energy."""
     grad = energy_gradient(model, s)
     return project_box(s - beta * (grad - noise), model.delta)
-
-
-def legacy_clipped_step(
-    coupling: np.ndarray,
-    s: np.ndarray,
-    alpha: float,
-    beta: float,
-    noise: np.ndarray,
-    clip: float = LEGACY_CLIP,
-) -> np.ndarray:
-    """Older amplitude update: feedback inside the clip window, zero outside.
-
-    Components with ``|s_i| <= clip`` follow ``alpha s - beta (J s) + noise``;
-    all others are reset to zero. No projection is applied.
-    """
-    s = np.asarray(s, dtype=float)
-    coupling = np.asarray(coupling, dtype=float)
-    updated = alpha * s - beta * (coupling @ s) + noise
-    return np.where(np.abs(s) <= clip, updated, 0.0)
 
 
 def gradient_mapping(s: np.ndarray, s_next: np.ndarray, beta: float) -> np.ndarray:
@@ -186,22 +136,17 @@ class EcimTrace:
         The final row describes s(K), which has no outgoing step; its beta_k
         and gm_norm are written as nan.
         """
-        best = self.running_best()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "beta_k", "energy", "gm_norm", "best_energy"])
-            for k in range(len(self.energies)):
-                beta = self.betas[k] if k < len(self.betas) else math.nan
-                gm = self.gm_norms[k] if k < len(self.gm_norms) else math.nan
-                writer.writerow(
-                    [
-                        k,
-                        repr(float(beta)),
-                        repr(float(self.energies[k])),
-                        repr(float(gm)),
-                        repr(float(best[k])),
-                    ]
-                )
+        write_csv(
+            path,
+            ["k", "beta_k", "energy", "gm_norm", "best_energy"],
+            zip(
+                range(len(self.energies)),
+                [*self.betas, math.nan],
+                self.energies,
+                [*self.gm_norms, math.nan],
+                self.running_best(),
+            ),
+        )
 
     def to_json(self, path) -> None:
         payload = {
@@ -215,9 +160,7 @@ class EcimTrace:
             "averaged_iterate": self.averaged_iterate.tolist(),
             "s0_projected": bool(self.s0_projected),
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
 
 def run_ecim(

@@ -113,18 +113,6 @@ def energy_gradient(model: QuadraticModel, s: np.ndarray) -> np.ndarray:
     return model.symmetric_coupling() @ s + model.field
 
 
-def model_value(model: QuadraticModel, p: np.ndarray) -> float:
-    """Predicted change ``<h, p> + 0.5 <p, sym(J) p>`` for a step p.
-
-    Identical to :func:`energy` for any J because the quadratic form only
-    feels the symmetric part; spelled with sym(J) so the reduction-ratio
-    denominator is explicit about it.
-    """
-    p = np.asarray(p, dtype=float)
-    S = model.symmetric_coupling()
-    return float(model.field @ p + 0.5 * p @ (S @ p))
-
-
 class Objective:
     """Twice-differentiable objective with analytic or supplied derivatives.
 

@@ -8,13 +8,12 @@ smoothness, and curvature constants of a quadratic subproblem.
 
 from __future__ import annotations
 
-import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Objective, QuadraticModel
+from .writers import write_csv
 
 CONVEXITY_CLASSES = ("strongly-convex", "convex", "invex-like", "nonconvex")
 
@@ -230,11 +229,8 @@ def logistic_dataset():
 def write_logistic_dataset(path) -> None:
     """Serialize the synthetic dataset as CSV (columns x1, x2, label)."""
     X, y = logistic_dataset()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "label"])
-        for row, label in zip(X, y):
-            writer.writerow([repr(float(row[0])), repr(float(row[1])), int(label)])
+    rows = ([x1, x2, int(label)] for (x1, x2), label in zip(X, y))
+    write_csv(path, ["x1", "x2", "label"], rows)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -386,19 +382,15 @@ def _gradient_bound(model: QuadraticModel) -> float:
     if n > _CORNER_MAX_DIM:
         spectral = float(np.linalg.norm(S, 2))
         return spectral * delta * np.sqrt(n) + float(np.linalg.norm(h))
-    # ||S s + h|| is convex in s, so its box maximum sits at a corner.
+    # ||S s + h|| is convex in s, so its box maximum sits at a corner. Corner
+    # i has coordinate j at +delta when bit n-1-j of i is set.
+    shifts = np.arange(n - 1, -1, -1)
     best = 0.0
-    corners = itertools.product((-delta, delta), repeat=n)
-    chunk = []
-    for corner in corners:
-        chunk.append(corner)
-        if len(chunk) == 65536:
-            arr = np.array(chunk)
-            best = max(best, float(np.max(np.linalg.norm(arr @ S + h, axis=1))))
-            chunk = []
-    if chunk:
-        arr = np.array(chunk)
-        best = max(best, float(np.max(np.linalg.norm(arr @ S + h, axis=1))))
+    for start in range(0, 2**n, 65536):
+        index = np.arange(start, min(start + 65536, 2**n))
+        bits = (index[:, None] >> shifts) & 1
+        corners = np.where(bits == 1, delta, -delta)
+        best = max(best, float(np.max(np.linalg.norm(corners @ S + h, axis=1))))
     return best
 
 

@@ -8,8 +8,6 @@ radius from the realized-versus-predicted reduction.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Union
@@ -19,6 +17,7 @@ import numpy as np
 from .ecim import DivergenceError, EcimConfig, run_ecim
 from .model import Objective, QuadraticModel, build_subproblem, energy
 from .oracles import NumericalError, exact_ball_minimize, grid_minimize_box
+from .writers import write_csv, write_json
 
 # Predicted reductions smaller than this are indistinguishable from roundoff;
 # the reduction ratio is undefined there.
@@ -186,35 +185,34 @@ class TrustRegionTrace:
     def to_csv(self, path) -> None:
         """One row per outer iteration: t, delta, rho, f, grad_norm,
         model_value, step_inf_norm, accepted, solver_failed."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
+        write_csv(
+            path,
+            [
+                "t",
+                "delta",
+                "rho",
+                "f",
+                "grad_norm",
+                "model_value",
+                "step_inf_norm",
+                "accepted",
+                "solver_failed",
+            ],
+            (
                 [
-                    "t",
-                    "delta",
-                    "rho",
-                    "f",
-                    "grad_norm",
-                    "model_value",
-                    "step_inf_norm",
-                    "accepted",
-                    "solver_failed",
+                    r.t,
+                    float(r.delta),
+                    r.rho,
+                    r.f_value,
+                    r.grad_norm,
+                    r.model_value,
+                    r.step_inf_norm,
+                    r.accepted,
+                    r.solver_failed,
                 ]
-            )
-            for r in self.records:
-                writer.writerow(
-                    [
-                        r.t,
-                        repr(float(r.delta)),
-                        repr(float(r.rho)),
-                        repr(float(r.f_value)),
-                        repr(float(r.grad_norm)),
-                        repr(float(r.model_value)),
-                        repr(float(r.step_inf_norm)),
-                        int(r.accepted),
-                        int(r.solver_failed),
-                    ]
-                )
+                for r in self.records
+            ),
+        )
 
     def to_json(self, path) -> None:
         payload = {
@@ -237,9 +235,7 @@ class TrustRegionTrace:
                 for r in self.records
             ],
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
 
 def itrust(

@@ -21,6 +21,7 @@ from itrust.cli import (
     main,
     read_config_file,
 )
+from itrust.writers import write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +74,8 @@ def test_read_config_file(tmp_path):
 
 
 def test_config_hash_ignores_output_options():
-    base = {"problem": "quad5", "seed": 3, "out": "a", "format": "csv", "jobs": 1}
-    moved = {"problem": "quad5", "seed": 3, "out": "b", "format": "json", "jobs": 4}
+    base = {"problem": "quad5", "seed": 3, "out": "a", "format": "csv"}
+    moved = {"problem": "quad5", "seed": 3, "out": "b", "format": "json"}
     assert _config_hash(base) == _config_hash(moved)
     assert _config_hash({**base, "seed": 4}) != _config_hash(base)
     assert len(_config_hash(base)) == 12
@@ -218,6 +219,57 @@ def test_config_file_unknown_key(tmp_path, capsys):
     rc = main(["solve", "--config", str(cfg), "--problem", "quad2", "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["format = xml", "schedule = bogus"])
+def test_config_file_value_outside_choices(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "reports"
+    argv = ["solve", "--config", str(cfg), "--problem", "quad2", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_flag_matches_command_line_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("use-scaling = true\n")
+    common = ["solve", "--problem", "quad2", "--solver", "exact-ball", "--T", "3"]
+    for out, extra in (("a", ["--config", str(cfg)]), ("b", ["--use-scaling"])):
+        assert main([*common, *extra, "--out", str(tmp_path / out)]) == EXIT_OK
+    name = "solve-quad2-exact-ball-seed0.summary.json"
+    a = json.loads((tmp_path / "a" / name).read_text())
+    b = json.loads((tmp_path / "b" / name).read_text())
+    assert a["config_hash"] == b["config_hash"]
+
+
+def test_config_file_skips_keys_of_other_subcommands(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = quad5\nseeds = 0\nK = 300\nn = 1\n")
+    rc = main(["verify-bounds", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    rows = (tmp_path / "verify-bounds-n1.csv").read_text().splitlines()
+    assert len(rows) > 1
+
+
+def test_jobs_option_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["verify-bounds", "--jobs", "2", "--out", str(tmp_path)])
+    assert info.value.code == EXIT_USAGE
+
+
+def test_out_of_range_option_is_usage_error(tmp_path, capsys):
+    rc = main(["solve", "--problem", "quad2", "--delta0", "0", "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_csv_writer_cell_formats(tmp_path):
+    path = tmp_path / "row.csv"
+    row = [3, True, np.float64(0.1), np.nan, "x", None]
+    write_csv(path, ["a", "b", "c", "d", "e", "f"], [row])
+    assert path.read_bytes() == b"a,b,c,d,e,f\r\n3,1,0.1,nan,x,\r\n"
 
 
 def test_missing_subcommand_exits_with_usage():

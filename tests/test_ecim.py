@@ -15,13 +15,10 @@ from itrust import (
     energy,
     energy_gradient,
     gradient_mapping,
-    legacy_clipped_step,
     project_box,
     run_ecim,
-    step_size,
     step_sizes,
 )
-from itrust.ecim import LEGACY_CLIP
 
 
 def test_project_box():
@@ -60,12 +57,18 @@ def test_step_follows_update_rule():
 
 
 def test_step_size_schedules():
-    assert step_size("fixed", 0.5, k=7, horizon=100) == 0.5
-    assert step_size("fixed-horizon", 1.0, k=0, horizon=100) == pytest.approx(0.1)
-    assert step_size("decreasing", 1.0, k=0, horizon=100) == 1.0
-    assert step_size("decreasing", 1.0, k=9, horizon=100) == pytest.approx(0.1)
+    model = QuadraticModel(np.eye(1), np.zeros(1), delta=1.0)
+
+    def beta(schedule, beta0, k, horizon):
+        config = EcimConfig(schedule=schedule, beta0=beta0, iterations=horizon)
+        return step_sizes(config, model)[k]
+
+    assert beta("fixed", 0.5, k=7, horizon=100) == 0.5
+    assert beta("fixed-horizon", 1.0, k=0, horizon=100) == pytest.approx(0.1)
+    assert beta("decreasing", 1.0, k=0, horizon=100) == 1.0
+    assert beta("decreasing", 1.0, k=9, horizon=100) == pytest.approx(0.1)
     with pytest.raises(ValueError):
-        step_size("quadratic", 1.0, k=0, horizon=10)
+        EcimConfig(schedule="quadratic", beta0=1.0, iterations=10)
 
 
 def test_step_sizes_fixed_horizon():
@@ -107,15 +110,6 @@ def test_gradient_mapping():
     assert np.allclose(g, [2.0, 0.0], atol=0.0)
     with pytest.raises(ValueError):
         gradient_mapping(np.zeros(1), np.zeros(1), beta=0.0)
-
-
-def test_legacy_clipped_step():
-    J = np.array([[0.0, 1.0], [1.0, 0.0]])
-    s = np.array([0.2, 0.6])  # second component beyond the clip window
-    out = legacy_clipped_step(J, s, alpha=1.1, beta=0.5, noise=np.zeros(2))
-    assert out[1] == 0.0
-    assert out[0] == pytest.approx(1.1 * 0.2 - 0.5 * 0.6)
-    assert LEGACY_CLIP == 0.4
 
 
 def test_run_converges_on_interior_minimum():

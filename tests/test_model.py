@@ -11,7 +11,6 @@ from itrust import (
     build_subproblem,
     energy,
     energy_gradient,
-    model_value,
 )
 
 
@@ -81,21 +80,9 @@ def test_gradient_matches_finite_differences():
             assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
-def test_model_value_equals_energy_for_any_coupling():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        J = rng.normal(size=(3, 3))
-        h = rng.normal(size=3)
-        model = QuadraticModel(J, h, delta=1.0)
-        p = rng.uniform(-1.0, 1.0, 3)
-        assert model_value(model, p) == pytest.approx(
-            energy(model, p), rel=1e-12, abs=1e-12
-        )
-
-
 def test_model_value_worked_example():
     model = QuadraticModel(np.eye(2), np.array([1.0, 0.0]), delta=1.0)
-    assert model_value(model, np.array([-1.0, 0.0])) == pytest.approx(-0.5, abs=0.0)
+    assert energy(model, np.array([-1.0, 0.0])) == pytest.approx(-0.5, abs=0.0)
 
 
 def test_model_validation_errors():
@@ -221,6 +208,6 @@ def test_build_subproblem_uses_local_derivatives():
     assert np.allclose(model.field, obj.gradient(theta), atol=0.0)
     # The model predicts the exact change for a quadratic objective.
     p = np.array([0.1, -0.2])
-    predicted = model_value(model, p)
+    predicted = energy(model, p)
     actual = obj.value(theta + p) - obj.value(theta)
     assert predicted == pytest.approx(actual, rel=1e-12, abs=1e-12)

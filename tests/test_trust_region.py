@@ -15,6 +15,7 @@ from itrust import (
     Objective,
     QuadraticModel,
     TrustRegionConfig,
+    energy,
     get_problem,
     itrust,
     random_box_quadratic,
@@ -74,9 +75,7 @@ def test_reduction_ratio_exact_for_quadratic():
     theta = np.array([0.3, -0.1])
     step = np.array([0.05, 0.02])
     model = QuadraticModel(obj.hessian(theta), obj.gradient(theta), delta=1.0)
-    from itrust import model_value
-
-    rho = reduction_ratio(obj, theta, step, model_value(model, step))
+    rho = reduction_ratio(obj, theta, step, energy(model, step))
     assert rho == pytest.approx(1.0, rel=1e-10)
 
 
