@@ -227,6 +227,12 @@ def _solver_spec(options: dict):
 
 
 def cmd_solve(options: dict) -> int:
+    if options["problem"] is None:
+        print(
+            "usage error: solve needs --problem or a problem key in --config",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         problem = get_problem(options["problem"])
     except KeyError as exc:
@@ -461,15 +467,16 @@ def _rate_cell(options: dict, seed: int) -> dict:
         ref = _grid_reference(model, _resolution_for(n))
         consts = estimate_constants(model)
         sigma2 = options["sigma2"] if options["sigma2"] is not None else 0.01
+        # A one-step probe gives the seed's start point, which no horizon
+        # changes.
+        probe = run_ecim(
+            model, EcimConfig(schedule="fixed", beta0=1.0, iterations=1, seed=seed)
+        )
+        d = float(np.linalg.norm(probe.iterates[0] - ref.s_star))
+        beta0 = options["beta0"] if options["beta0"] is not None else d / consts.G
         gaps = []
         ks = options["ks"]
         for K in ks:
-            probe = run_ecim(
-                model,
-                EcimConfig(schedule="fixed", beta0=1.0, iterations=1, seed=seed),
-            )
-            d = float(np.linalg.norm(probe.iterates[0] - ref.s_star))
-            beta0 = options["beta0"] if options["beta0"] is not None else d / consts.G
             cfg = EcimConfig(
                 schedule="fixed-horizon",
                 beta0=beta0,
@@ -725,7 +732,7 @@ def build_parser() -> tuple[
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run the trust-region loop on a problem")
-    p.add_argument("--problem", required=True)
+    p.add_argument("--problem", help="problem name (required, flag or config file)")
     p.add_argument("--solver", choices=("ecim", "exact-ball", "grid"), default="ecim")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--T", type=int, default=100, help="outer iterations")

@@ -20,6 +20,10 @@ SCHEDULES = ("fixed", "fixed-horizon", "decreasing")
 # Energies past this magnitude abort the run before overflow turns into nan.
 DIVERGENCE_LIMIT = 1e12
 
+# Injection noise is drawn about this many bytes at a time. Consecutive draws
+# from one Generator equal a single draw bit for bit.
+NOISE_CHUNK_BYTES = 2**20
+
 
 class DivergenceError(RuntimeError):
     """Raised when the energy leaves the trusted range mid-run."""
@@ -106,7 +110,9 @@ class EcimTrace:
     ``iterates`` holds s(0..K) row-wise, ``energies`` the matching energy
     values, ``betas`` and ``gm_norms`` the K per-step step sizes and
     gradient-mapping norms. ``averaged_iterate`` is the beta-weighted mean of
-    s(0..K-1).
+    s(0..K-1). ``stop_index`` is the number of steps actually computed: K,
+    or fewer when a noise-free run reached an exact fixed point, after which
+    the remaining rows repeat it. It is not written to trace files.
     """
 
     iterates: np.ndarray
@@ -118,6 +124,7 @@ class EcimTrace:
     best_iterate: np.ndarray
     averaged_iterate: np.ndarray
     s0_projected: bool
+    stop_index: int
 
     def running_best(self) -> np.ndarray:
         """Best energy seen up to each iterate, length K + 1."""
@@ -168,6 +175,10 @@ def run_ecim(
 ) -> EcimTrace:
     """Run the machine for ``config.iterations`` steps and trace everything.
 
+    A noise-free run stops computing at an exact fixed point and fills the
+    rest of the trace with it (see ``EcimTrace.stop_index``); the trace is
+    the same as with every step computed.
+
     Parameters
     ----------
     model : QuadraticModel
@@ -207,38 +218,56 @@ def run_ecim(
             s = project_box(s, delta)
 
     betas = step_sizes(config, model)
+    beta_list = betas.tolist()
     sigma = math.sqrt(config.sigma2)
-    if sigma > 0.0:
-        noise = rng.normal(0.0, sigma, (K, n))
-        if config.modulate_noise:
-            noise *= betas[:, None]
-    else:
-        noise = None
+    chunk_rows = max(1, NOISE_CHUNK_BYTES // (8 * n))
 
     S = model.symmetric_coupling()
     h = model.field
     iterates = np.empty((K + 1, n))
     energies = np.empty(K + 1)
     gm_norms = np.empty(K)
+    iterates[0] = s
+    stop_index = K
 
-    for k in range(K):
-        grad = S @ s + h
+    # Each step writes s(k+1) in place into its trace row; the floating-point
+    # operations are those of ecim_step, so traces do not depend on the loop.
+    for k in range(K + 1):
+        grad = S @ s
+        grad += h
         e = 0.5 * (s @ grad + s @ h)
-        if not np.isfinite(e) or abs(e) > DIVERGENCE_LIMIT:
+        if not abs(e) <= DIVERGENCE_LIMIT:
             raise DivergenceError(k, e)
-        iterates[k] = s
         energies[k] = e
-        drive = grad if noise is None else grad - noise[k]
-        s_next = np.clip(s - betas[k] * drive, -delta, delta)
-        gm_norms[k] = np.linalg.norm((s - s_next) / betas[k])
+        if k == K:
+            break
+        beta = beta_list[k]
+        if sigma > 0.0:
+            row = k % chunk_rows
+            if row == 0:
+                noise = rng.normal(0.0, sigma, (min(chunk_rows, K - k), n))
+                if config.modulate_noise:
+                    noise *= betas[k : k + len(noise), None]
+            grad -= noise[row]
+        grad *= beta
+        s_next = iterates[k + 1]
+        np.subtract(s, grad, out=s_next)
+        np.maximum(s_next, -delta, out=s_next)
+        np.minimum(s_next, delta, out=s_next)
+        d = s - s_next
+        d /= beta
+        gm_norms[k] = gm = math.sqrt(d @ d)
+        if gm == 0.0 and sigma == 0.0 and s_next.tobytes() == s.tobytes():
+            # Exact fixed point of a noise-free run (compared as bytes, since
+            # -0.0 == 0.0). Steps never grow, and rounding is monotone, so
+            # every later step reproduces s bit for bit, with the same energy
+            # and a zero gradient mapping.
+            iterates[k + 2 :] = s
+            energies[k + 1 :] = e
+            gm_norms[k + 1 :] = 0.0
+            stop_index = k + 1
+            break
         s = s_next
-
-    grad = S @ s + h
-    e = 0.5 * (s @ grad + s @ h)
-    if not np.isfinite(e) or abs(e) > DIVERGENCE_LIMIT:
-        raise DivergenceError(K, e)
-    iterates[K] = s
-    energies[K] = e
 
     best_index = int(np.argmin(energies))
     weight = np.sum(betas)
@@ -253,4 +282,5 @@ def run_ecim(
         best_iterate=iterates[best_index].copy(),
         averaged_iterate=averaged,
         s0_projected=s0_projected,
+        stop_index=stop_index,
     )

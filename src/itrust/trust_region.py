@@ -90,10 +90,8 @@ class TrustRegionConfig:
             raise ValueError(f"gtol must be >= 0 or None, got {self.gtol}")
 
 
-def reduction_ratio(
-    objective: Objective, theta: np.ndarray, step: np.ndarray, model_value: float
-) -> float:
-    """Realized over predicted reduction ``(f(theta + step) - f(theta)) / m``.
+def reduction_ratio(f_current: float, f_trial: float, model_value: float) -> float:
+    """Realized over predicted reduction ``(f_trial - f_current) / m``.
 
     Raises
     ------
@@ -105,9 +103,7 @@ def reduction_ratio(
         raise DegenerateModelError(
             f"predicted reduction {model_value!r} below {DEGENERATE_MODEL_TOL}"
         )
-    theta = np.asarray(theta, dtype=float)
-    step = np.asarray(step, dtype=float)
-    return (objective.value(theta + step) - objective.value(theta)) / model_value
+    return (f_trial - f_current) / model_value
 
 
 def update_radius(
@@ -309,13 +305,9 @@ def itrust(
         u = step if scaling is None else scaling * step
         step_inf = float(np.max(np.abs(u)))
 
-        degenerate = False
-        rho = math.nan
-        try:
-            rho = reduction_ratio(objective, theta, step, mval)
-        except DegenerateModelError:
-            degenerate = True
-        if degenerate or mval >= 0.0:
+        # The trial value is evaluated once, and only for a predicted
+        # decrease; on acceptance it becomes the current value.
+        if mval >= 0.0 or abs(mval) < DEGENERATE_MODEL_TOL:
             records.append(
                 TrustRegionRecord(
                     t=t,
@@ -333,6 +325,9 @@ def itrust(
             )
             delta = max(config.gamma1 * delta, _DELTA_FLOOR)
             continue
+        trial = theta + step
+        f_trial = objective.value(trial)
+        rho = reduction_ratio(f_cur, f_trial, mval)
         if not math.isfinite(rho):
             raise RuntimeError(
                 f"objective is not finite at the trial point of iteration {t}"
@@ -355,8 +350,8 @@ def itrust(
         )
         delta = max(update_radius(rho, delta, step_inf, config), _DELTA_FLOOR)
         if accepted:
-            theta = theta + step
-            f_cur = objective.value(theta)
+            theta = trial
+            f_cur = f_trial
             previous_step = step
 
     if not converged and config.gtol is not None:

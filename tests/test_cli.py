@@ -213,6 +213,25 @@ def test_config_file_fills_defaults_and_flags_win(tmp_path):
     assert payload["converged"] is False
 
 
+def test_config_file_supplies_problem(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = quad2\nsolver = exact-ball\nT = 3\n")
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    summary = tmp_path / "solve-quad2-exact-ball-seed0.summary.json"
+    assert json.loads(summary.read_text())["problem"] == "quad2"
+
+
+def test_solve_without_problem_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("T = 3\n")
+    out = tmp_path / "reports"
+    for extra in ([], ["--config", str(cfg)]):
+        assert main(["solve", *extra, "--out", str(out)]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("jitter = 3\n")

@@ -9,6 +9,7 @@ import pytest
 
 from itrust import (
     DivergenceError,
+    EcimTrace,
     EcimConfig,
     QuadraticModel,
     ecim_step,
@@ -16,9 +17,11 @@ from itrust import (
     energy_gradient,
     gradient_mapping,
     project_box,
+    random_box_quadratic,
     run_ecim,
     step_sizes,
 )
+from itrust.ecim import DIVERGENCE_LIMIT, NOISE_CHUNK_BYTES
 
 
 def test_project_box():
@@ -296,3 +299,129 @@ def test_trace_json_round_trip(tmp_path):
     assert payload["best_energy"] == trace.best_energy
     assert len(payload["iterates"]) == 11
     assert payload["s0_projected"] is False
+
+
+# ---------------------------------------------------------------------------
+# run_ecim against a step-by-step reference
+
+
+def _reference_run(model, config, s0=None) -> EcimTrace:
+    """The machine's definition: ecim_step on every one of the K steps, with
+    the whole (K, n) noise block drawn at once."""
+    rng = np.random.default_rng(config.seed)
+    n, K, delta = model.dim, config.iterations, model.delta
+    s = rng.uniform(-delta, delta, n) if s0 is None else project_box(s0, delta)
+    betas = step_sizes(config, model)
+    noise = np.zeros((K, n))
+    if config.sigma2 > 0.0:
+        noise = rng.normal(0.0, math.sqrt(config.sigma2), (K, n))
+        if config.modulate_noise:
+            noise *= betas[:, None]
+    S, h = model.symmetric_coupling(), model.field
+    iterates, energies = [], []
+    for k in range(K + 1):
+        e = 0.5 * (s @ (S @ s + h) + s @ h)
+        if not np.isfinite(e) or abs(e) > DIVERGENCE_LIMIT:
+            raise DivergenceError(k, e)
+        iterates.append(s)
+        energies.append(e)
+        if k < K:
+            s = ecim_step(model, s, betas[k], noise[k])
+    iterates, energies = np.array(iterates), np.array(energies)
+    gm_norms = np.array(
+        [
+            np.linalg.norm(gradient_mapping(iterates[k], iterates[k + 1], betas[k]))
+            for k in range(K)
+        ]
+    )
+    best = int(np.argmin(energies))
+    return EcimTrace(
+        iterates=iterates,
+        energies=energies,
+        betas=betas,
+        gm_norms=gm_norms,
+        best_index=best,
+        best_energy=float(energies[best]),
+        best_iterate=iterates[best].copy(),
+        averaged_iterate=(betas @ iterates[:K]) / np.sum(betas),
+        s0_projected=False,
+        stop_index=K,
+    )
+
+
+def _assert_bit_identical(trace: EcimTrace, ref: EcimTrace) -> None:
+    for name in (
+        "iterates",
+        "energies",
+        "betas",
+        "gm_norms",
+        "best_iterate",
+        "averaged_iterate",
+    ):
+        a, b = getattr(trace, name), getattr(ref, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert trace.best_index == ref.best_index
+    assert repr(trace.best_energy) == repr(ref.best_energy)
+
+
+@pytest.mark.parametrize("schedule", ["fixed", "fixed-horizon", "decreasing"])
+def test_run_matches_step_by_step_reference(schedule):
+    for seed, (n, kind) in enumerate(((1, "psd"), (4, "indefinite"), (7, "pl"))):
+        model = random_box_quadratic(n, seed, kind=kind)
+        for sigma2, modulate in ((0.0, False), (1e-4, False), (0.1, True)):
+            config = EcimConfig(
+                schedule=schedule,
+                beta0=0.4,
+                sigma2=sigma2,
+                iterations=300,
+                seed=seed,
+                modulate_noise=modulate,
+            )
+            trace = run_ecim(model, config)
+            _assert_bit_identical(trace, _reference_run(model, config))
+            if sigma2 > 0.0:
+                assert trace.stop_index == 300
+
+
+@pytest.mark.parametrize("schedule", ["fixed", "fixed-horizon", "decreasing"])
+def test_fixed_point_stop_matches_reference(schedule):
+    # The minimizer is the (0.5, 0.5, 0.5) vertex: a noise-free run reaches
+    # it exactly and stays there.
+    model = QuadraticModel(np.eye(3), np.full(3, -2.0), delta=0.5)
+    config = EcimConfig(schedule=schedule, beta0=0.5, iterations=500, seed=3)
+    trace = run_ecim(model, config)
+    assert 1 <= trace.stop_index < 100
+    assert np.all(trace.iterates[trace.stop_index :] == 0.5)
+    assert np.all(trace.gm_norms[trace.stop_index - 1 :] == 0.0)
+    _assert_bit_identical(trace, _reference_run(model, config))
+
+
+@pytest.mark.parametrize("modulate", [False, True])
+def test_chunked_noise_matches_single_draw(modulate):
+    n = 1000
+    rows = NOISE_CHUNK_BYTES // (8 * n)
+    rng = np.random.default_rng(11)
+    model = QuadraticModel(
+        np.diag(rng.uniform(0.5, 2.0, n)), rng.uniform(-0.3, 0.3, n), delta=0.5
+    )
+    config = EcimConfig(
+        schedule="decreasing",
+        beta0=0.5,
+        sigma2=0.01,
+        iterations=3 * rows + 7,
+        seed=12,
+        modulate_noise=modulate,
+    )
+    _assert_bit_identical(run_ecim(model, config), _reference_run(model, config))
+
+
+def test_divergence_at_reference_iteration():
+    model = QuadraticModel(np.array([[-1.0, 0.2], [0.2, -0.5]]), np.ones(2), 1e9)
+    config = EcimConfig(beta0=10.0, iterations=200, seed=0)
+    s0 = np.array([1.0, -0.5])
+    with pytest.raises(DivergenceError) as ref:
+        _reference_run(model, config, s0)
+    with pytest.raises(DivergenceError) as info:
+        run_ecim(model, config, s0)
+    assert info.value.iteration == ref.value.iteration > 1
+    assert repr(info.value.value) == repr(ref.value.value)

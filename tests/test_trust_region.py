@@ -75,14 +75,14 @@ def test_reduction_ratio_exact_for_quadratic():
     theta = np.array([0.3, -0.1])
     step = np.array([0.05, 0.02])
     model = QuadraticModel(obj.hessian(theta), obj.gradient(theta), delta=1.0)
-    rho = reduction_ratio(obj, theta, step, energy(model, step))
+    rho = reduction_ratio(obj.value(theta), obj.value(theta + step), energy(model, step))
     assert rho == pytest.approx(1.0, rel=1e-10)
 
 
 def test_reduction_ratio_zero_step_is_degenerate():
     obj = quadratic_objective(np.eye(2), np.zeros(2))
     with pytest.raises(DegenerateModelError):
-        reduction_ratio(obj, np.zeros(2), np.zeros(2), 0.0)
+        reduction_ratio(obj.value(np.zeros(2)), obj.value(np.zeros(2)), 0.0)
 
 
 def test_config_validation():
