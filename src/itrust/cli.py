@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ecim import SCHEDULES, DivergenceError, EcimConfig, run_ecim
+from .ecim import SCHEDULES, EcimConfig, run_ecim
 from .model import energy
 from .objectives import (
     estimate_constants,
@@ -32,12 +32,7 @@ from .objectives import (
     problem_suite,
     random_box_quadratic,
 )
-from .oracles import (
-    NumericalError,
-    OracleCapabilityError,
-    exact_ball_minimize,
-    grid_minimize_box,
-)
+from .oracles import exact_ball_minimize, grid_minimize_box
 from .trust_region import (
     ExactBallSolver,
     GridSolver,
@@ -74,7 +69,24 @@ class RateFit:
     n_points: int
 
 
-def _least_squares(x: np.ndarray, y: np.ndarray) -> RateFit:
+def fit_linear_decay(iterations, gaps) -> RateFit:
+    """Fit log(gap) against the raw iteration count (geometric decay check),
+    dropping gaps at or below ``GAP_FLOOR``.
+
+    Raises
+    ------
+    InsufficientDataError
+        With fewer than 4 usable pairs.
+    """
+    x = np.asarray(iterations, dtype=float)
+    gaps = np.asarray(gaps, dtype=float)
+    keep = np.isfinite(gaps) & (gaps > GAP_FLOOR)
+    n_points = int(np.sum(keep))
+    if n_points < 4:
+        raise InsufficientDataError(
+            f"need >= 4 positive gaps to fit a rate, got {n_points}"
+        )
+    x, y = x[keep], np.log(gaps[keep])
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)
     total = y - np.mean(y)
@@ -84,38 +96,13 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> RateFit:
         slope=float(slope),
         intercept=float(intercept),
         r_squared=r2,
-        n_points=len(x),
+        n_points=n_points,
     )
 
 
 def fit_rate(horizons, gaps) -> RateFit:
-    """Fit log(gap) against log(K), dropping non-positive gaps.
-
-    Raises
-    ------
-    InsufficientDataError
-        With fewer than 4 usable (gap above ``GAP_FLOOR``) pairs.
-    """
-    horizons = np.asarray(horizons, dtype=float)
-    gaps = np.asarray(gaps, dtype=float)
-    keep = np.isfinite(gaps) & (gaps > GAP_FLOOR)
-    if int(np.sum(keep)) < 4:
-        raise InsufficientDataError(
-            f"need >= 4 positive gaps to fit a rate, got {int(np.sum(keep))}"
-        )
-    return _least_squares(np.log(horizons[keep]), np.log(gaps[keep]))
-
-
-def fit_linear_decay(iterations, gaps) -> RateFit:
-    """Fit log(gap) against the raw iteration count (geometric decay check)."""
-    iterations = np.asarray(iterations, dtype=float)
-    gaps = np.asarray(gaps, dtype=float)
-    keep = np.isfinite(gaps) & (gaps > GAP_FLOOR)
-    if int(np.sum(keep)) < 4:
-        raise InsufficientDataError(
-            f"need >= 4 positive gaps to fit a decay, got {int(np.sum(keep))}"
-        )
-    return _least_squares(iterations[keep], np.log(gaps[keep]))
+    """Fit log(gap) against log(K); see ``fit_linear_decay``."""
+    return fit_linear_decay(np.log(np.asarray(horizons, dtype=float)), gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +161,21 @@ def _config_hash(options: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _write_report(
-    out_dir: str,
-    name: str,
-    fmt: str,
-    fieldnames: list[str],
-    rows: list[dict],
-    summary: dict,
-    options: dict,
-) -> str:
+def _write_report(options: dict, name: str, rows: list[dict], summary: dict):
+    """Write a campaign report and return its path and failed-row count.
+
+    Every row gets the config hash as its last column; the CSV columns are
+    the row keys in order. The JSON summary gains ``rows`` and ``failed``.
+    """
+    hash_ = _config_hash(options)
+    for row in rows:
+        row["config_hash"] = hash_
+    n_failed = sum(1 for row in rows if not row["passed"])
+    out_dir, fmt = options["out"], options["format"]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.{fmt}")
     if fmt == "csv":
-        write_csv(path, fieldnames, ([row[k] for k in fieldnames] for row in rows))
+        write_csv(path, list(rows[0]), (row.values() for row in rows))
     else:
         payload = {
             "command": name,
@@ -196,12 +185,12 @@ def _write_report(
                 for k, v in options.items()
                 if k not in _NON_EXPERIMENT_KEYS
             },
-            "config_hash": _config_hash(options),
+            "config_hash": hash_,
             "rows": rows,
-            "summary": summary,
+            "summary": {"rows": len(rows), "failed": n_failed, **summary},
         }
         write_json(path, payload)
-    return path
+    return path, n_failed
 
 
 def _solver_spec(options: dict):
@@ -294,18 +283,16 @@ def cmd_solve(options: dict) -> int:
 # verify-bounds
 
 
-def _grid_reference(model, resolution: float, polish_steps: int = 400):
-    return grid_minimize_box(model, resolution, polish_steps=polish_steps)
-
-
-def _resolution_for(n: int) -> float:
-    return {1: 0.001, 2: 0.005, 3: 0.02}.get(n, 0.05)
+def _grid_reference(model):
+    """Reference optimum of a campaign instance; the grid is finer where it
+    stays small."""
+    resolution = {1: 0.001, 2: 0.005, 3: 0.02}.get(model.dim, 0.05)
+    return grid_minimize_box(model, resolution, polish_steps=400)
 
 
 def _verify_cell(options: dict, seed: int) -> list[dict]:
     n = options["n"]
     K = options["K"]
-    hash_ = _config_hash(options)
     rows: list[dict] = []
 
     def row(check, instance, horizon, observed, bound, passed):
@@ -317,23 +304,22 @@ def _verify_cell(options: dict, seed: int) -> list[dict]:
             "observed": float(observed),
             "bound": float(bound),
             "passed": bool(passed),
-            "config_hash": hash_,
         }
 
     # Fixed-step suboptimality bound on a convex instance.
     model = random_box_quadratic(n, seed, kind="psd")
-    ref = _grid_reference(model, _resolution_for(n))
+    ref = _grid_reference(model)
     consts = estimate_constants(model)
-    beta0 = options["beta0"]
-    beta = beta0 if beta0 is not None else (1.0 / consts.L if consts.L > 0 else 1.0)
+    # beta0 = None resolves to 1/L in step_sizes.
     cfg = EcimConfig(
         schedule="fixed",
-        beta0=beta,
+        beta0=options["beta0"],
         sigma2=options["sigma2"],
         iterations=K,
         seed=seed,
     )
     trace = run_ecim(model, cfg)
+    beta = float(trace.betas[0])
     d = float(np.linalg.norm(trace.iterates[0] - ref.s_star))
     best = np.minimum.accumulate(trace.energies)
     horizon = 10
@@ -374,7 +360,7 @@ def _verify_cell(options: dict, seed: int) -> list[dict]:
 
     # Linear rate and iteration complexity on a strongly convex instance.
     model = random_box_quadratic(n, seed, kind="strongly-convex")
-    ref = _grid_reference(model, _resolution_for(n))
+    ref = _grid_reference(model)
     consts = estimate_constants(model)
     beta = 1.0 / consts.L
     horizon = min(K, 4000)
@@ -430,20 +416,8 @@ def cmd_verify_bounds(options: dict) -> int:
     seeds = options["seeds"]
     rows = [row for seed in seeds for row in _verify_cell(options, seed)]
     rows.sort(key=lambda r: (r["check"], r["instance"], r["seed"], r["K"]))
-    n_failed = sum(1 for r in rows if not r["passed"])
-    summary = {
-        "rows": len(rows),
-        "failed": n_failed,
-        "seeds": len(seeds),
-    }
-    path = _write_report(
-        options["out"],
-        f"verify-bounds-n{options['n']}",
-        options["format"],
-        ["check", "instance", "seed", "K", "observed", "bound", "passed", "config_hash"],
-        rows,
-        summary,
-        options,
+    path, n_failed = _write_report(
+        options, f"verify-bounds-n{options['n']}", rows, {"seeds": len(seeds)}
     )
     print(f"{len(rows)} checks, {n_failed} failed")
     print(f"report: {path}")
@@ -457,14 +431,13 @@ def cmd_verify_bounds(options: dict) -> int:
 def _rate_cell(options: dict, seed: int) -> dict:
     n = options["n"]
     schedule = options["schedule"]
-    hash_ = _config_hash(options)
 
     if schedule == "fixed-horizon":
         # Sublinear regime: singular convex instance with an active noise
         # floor. The floor scales with the step size, so the tail-averaged
         # gap of a horizon-K run decays like 1/sqrt(K).
         model = random_box_quadratic(n, seed, kind="singular")
-        ref = _grid_reference(model, _resolution_for(n))
+        ref = _grid_reference(model)
         consts = estimate_constants(model)
         sigma2 = options["sigma2"] if options["sigma2"] is not None else 0.01
         # A one-step probe gives the seed's start point, which no horizon
@@ -536,7 +509,6 @@ def _rate_cell(options: dict, seed: int) -> dict:
         "band_hi": hi,
         "r2_min": r2_min,
         "passed": bool(passed),
-        "config_hash": hash_,
         "_ks": ks,
         "_gaps": gaps,
     }
@@ -570,36 +542,14 @@ def cmd_rate_fit(options: dict) -> int:
     for r in rows:
         r.pop("_ks")
         r.pop("_gaps")
-    n_failed = sum(1 for r in rows if not r["passed"])
     slopes = [r["slope"] for r in rows]
     summary = {
-        "rows": len(rows),
-        "failed": n_failed,
-        "mean_slope": float(np.mean(slopes)) if slopes else math.nan,
+        "mean_slope": float(np.mean(slopes)),
         "verdict_passed": bool(verdict),
         **pooled_summary,
     }
-    path = _write_report(
-        options["out"],
-        f"rate-fit-{options['schedule']}-n{options['n']}",
-        options["format"],
-        [
-            "instance",
-            "seed",
-            "schedule",
-            "slope",
-            "intercept",
-            "r_squared",
-            "n_points",
-            "band_lo",
-            "band_hi",
-            "r2_min",
-            "passed",
-            "config_hash",
-        ],
-        rows,
-        summary,
-        options,
+    path, _ = _write_report(
+        options, f"rate-fit-{options['schedule']}-n{options['n']}", rows, summary
     )
     for r in rows:
         print(
@@ -622,7 +572,6 @@ def _compare_cell(options: dict, index: int) -> dict:
     n = dims[index % len(dims)]
     kind = kinds[index % len(kinds)]
     seed = options["seed"] + index
-    hash_ = _config_hash(options)
 
     model = random_box_quadratic(n, seed, kind=kind)
     # beta0 = None resolves to 1/L in step_sizes.
@@ -631,7 +580,7 @@ def _compare_cell(options: dict, index: int) -> dict:
     ball = exact_ball_minimize(
         model.field, model.symmetric_coupling(), model.delta
     )
-    grid = _grid_reference(model, _resolution_for(n))
+    grid = _grid_reference(model)
 
     ecim_value = trace.best_energy
     ratio = -ecim_value / abs(ball.value) if ball.value < -1e-12 else math.nan
@@ -653,41 +602,20 @@ def _compare_cell(options: dict, index: int) -> dict:
         "ecim_minus_grid": float(ecim_value - grid.value),
         "coherence_ratio": float(ratio),
         "passed": bool(passed),
-        "config_hash": hash_,
     }
 
 
 def cmd_compare_oracles(options: dict) -> int:
+    if options["count"] < 1:
+        raise ValueError(f"--count must be >= 1, got {options['count']}")
     rows = [_compare_cell(options, i) for i in range(options["count"])]
     rows.sort(key=lambda r: (r["instance"], r["seed"]))
-    n_failed = sum(1 for r in rows if not r["passed"])
     ratios = [r["coherence_ratio"] for r in rows if not math.isnan(r["coherence_ratio"])]
-    summary = {
-        "rows": len(rows),
-        "failed": n_failed,
-        "min_coherence_ratio": min(ratios) if ratios else math.nan,
-    }
-    path = _write_report(
-        options["out"],
-        "compare-oracles",
-        options["format"],
-        [
-            "instance",
-            "seed",
-            "n",
-            "kind",
-            "ecim_value",
-            "ball_value",
-            "grid_value",
-            "ecim_minus_ball",
-            "ecim_minus_grid",
-            "coherence_ratio",
-            "passed",
-            "config_hash",
-        ],
-        rows,
-        summary,
+    path, n_failed = _write_report(
         options,
+        "compare-oracles",
+        rows,
+        {"min_coherence_ratio": min(ratios) if ratios else math.nan},
     )
     print(f"{len(rows)} subproblems, {n_failed} failed")
     print(f"report: {path}")
@@ -855,20 +783,16 @@ def main(argv: list[str] | None = None) -> int:
     func = options.pop("func")
     try:
         return func(options)
-    except (OracleCapabilityError, KeyError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        # Out-of-range option values, rejected by the config dataclasses.
+    except (KeyError, ValueError) as exc:
+        # Unknown names, out-of-range option values rejected by the config
+        # dataclasses, and requests outside an oracle's range.
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergenceError, NumericalError, FloatingPointError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except RuntimeError as exc:
+    except (RuntimeError, FloatingPointError) as exc:
+        # Machine divergence, oracle non-convergence, non-finite objectives.
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

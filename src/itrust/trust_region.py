@@ -110,8 +110,9 @@ def update_radius(
     rho: float, delta: float, step_inf_norm: float, config: TrustRegionConfig
 ) -> float:
     """Next trust radius: shrink below ``mu``, grow above ``1 - mu`` when the
-    step touched the box boundary, otherwise keep."""
-    if rho < config.mu:
+    step touched the box boundary, otherwise keep. A nan ratio (failed solve,
+    degenerate or non-decreasing model step) shrinks."""
+    if not rho >= config.mu:
         return config.gamma1 * delta
     on_boundary = abs(step_inf_norm - delta) <= config.boundary_tol * max(1.0, delta)
     if rho > 1.0 - config.mu and on_boundary:
@@ -277,61 +278,30 @@ def itrust(
         if config.warm_start and previous_step is not None:
             s0 = previous_step if scaling is None else scaling * previous_step
 
+        # A failed solve, or a predicted reduction that is non-negative or
+        # degenerate, leaves rho nan: the step is rejected and the radius
+        # shrinks. The trial value is evaluated once, and only for a
+        # predicted decrease; on acceptance it becomes the current value.
+        rho = math.nan
         try:
             step, mval = solve_subproblem(
                 model, config.solver, seed=base_seed + t, s0=s0
             )
         except (DivergenceError, NumericalError):
-            records.append(
-                TrustRegionRecord(
-                    t=t,
-                    theta=theta.copy(),
-                    delta=delta,
-                    rho=math.nan,
-                    step=None,
-                    model_value=math.nan,
-                    f_value=f_cur,
-                    accepted=False,
-                    grad_norm=grad_norm,
-                    step_inf_norm=math.nan,
-                    solver_failed=True,
-                )
-            )
-            delta = max(config.gamma1 * delta, _DELTA_FLOOR)
-            continue
-
-        # Boundary contact is judged in solver coordinates, where the box
-        # actually lives.
-        u = step if scaling is None else scaling * step
-        step_inf = float(np.max(np.abs(u)))
-
-        # The trial value is evaluated once, and only for a predicted
-        # decrease; on acceptance it becomes the current value.
-        if mval >= 0.0 or abs(mval) < DEGENERATE_MODEL_TOL:
-            records.append(
-                TrustRegionRecord(
-                    t=t,
-                    theta=theta.copy(),
-                    delta=delta,
-                    rho=math.nan,
-                    step=step,
-                    model_value=mval,
-                    f_value=f_cur,
-                    accepted=False,
-                    grad_norm=grad_norm,
-                    step_inf_norm=step_inf,
-                    solver_failed=False,
-                )
-            )
-            delta = max(config.gamma1 * delta, _DELTA_FLOOR)
-            continue
-        trial = theta + step
-        f_trial = objective.value(trial)
-        rho = reduction_ratio(f_cur, f_trial, mval)
-        if not math.isfinite(rho):
-            raise RuntimeError(
-                f"objective is not finite at the trial point of iteration {t}"
-            )
+            step, mval, step_inf = None, math.nan, math.nan
+        else:
+            # Boundary contact is judged in solver coordinates, where the box
+            # actually lives.
+            u = step if scaling is None else scaling * step
+            step_inf = float(np.max(np.abs(u)))
+            if not (mval >= 0.0 or abs(mval) < DEGENERATE_MODEL_TOL):
+                trial = theta + step
+                f_trial = objective.value(trial)
+                rho = reduction_ratio(f_cur, f_trial, mval)
+                if not math.isfinite(rho):
+                    raise RuntimeError(
+                        f"objective is not finite at the trial point of iteration {t}"
+                    )
 
         accepted = rho > config.eta
         records.append(
@@ -346,6 +316,7 @@ def itrust(
                 accepted=accepted,
                 grad_norm=grad_norm,
                 step_inf_norm=step_inf,
+                solver_failed=step is None,
             )
         )
         delta = max(update_radius(rho, delta, step_inf, config), _DELTA_FLOOR)

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import itrust
 from itrust.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -410,6 +412,45 @@ def test_compare_oracles_small_run(tmp_path, capsys):
     assert "0 failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_compare_oracles_without_subproblems_is_usage_error(tmp_path, capsys, count):
+    out = tmp_path / "reports"
+    rc = main(["compare-oracles", "--count", count, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_oracles_outside_grid_range_is_usage_error(tmp_path, capsys):
+    rc = main(
+        ["compare-oracles", "--dims", "5", "--count", "1", "--out", str(tmp_path)]
+    )
+    assert rc == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_campaign_report_columns(tmp_path):
+    campaigns = {
+        "verify-bounds-n1.csv": (
+            ["verify-bounds", "--n", "1", "--seeds", "0", "--K", "100"],
+            "check,instance,seed,K,observed,bound,passed,config_hash",
+        ),
+        "rate-fit-fixed-n2.csv": (
+            ["rate-fit", "--schedule", "fixed", "--seeds", "0", "--ks", "1500"],
+            "instance,seed,schedule,slope,intercept,r_squared,n_points,"
+            "band_lo,band_hi,r2_min,passed,config_hash",
+        ),
+        "compare-oracles.csv": (
+            ["compare-oracles", "--count", "1", "--K", "500"],
+            "instance,seed,n,kind,ecim_value,ball_value,grid_value,"
+            "ecim_minus_ball,ecim_minus_grid,coherence_ratio,passed,config_hash",
+        ),
+    }
+    for name, (argv, header) in campaigns.items():
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / name).read_text().splitlines()[0] == header
+
+
 def test_list_problems(capsys):
     assert main(["list-problems"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -418,10 +459,13 @@ def test_list_problems(capsys):
 
 
 def test_console_script_entry_point(tmp_path):
+    # ``-m`` puts the working directory first on sys.path, so the child
+    # imports the same package as this process, installed or not.
     result = subprocess.run(
         [sys.executable, "-m", "itrust.cli", "list-problems"],
         capture_output=True,
         text=True,
+        cwd=Path(itrust.__file__).parents[1],
     )
     assert result.returncode == EXIT_OK
     assert "quad20" in result.stdout

@@ -48,6 +48,8 @@ def test_update_radius_shrinks_on_poor_ratio():
     config = TrustRegionConfig()
     assert update_radius(-0.5, 1.0, 0.5, config) == 0.25
     assert update_radius(0.0999, 1.0, 1.0, config) == 0.25
+    # A failed solve or a degenerate model step reports rho = nan.
+    assert update_radius(math.nan, 1.0, math.nan, config) == 0.25
 
 
 def test_update_radius_grows_only_on_boundary():
