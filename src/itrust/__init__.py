@@ -11,8 +11,6 @@ from .ecim import (
     DivergenceError,
     EcimConfig,
     EcimTrace,
-    ecim_step,
-    gradient_mapping,
     project_box,
     run_ecim,
     step_sizes,
@@ -22,18 +20,13 @@ from .model import (
     QuadraticModel,
     build_subproblem,
     energy,
-    energy_gradient,
 )
 from .objectives import (
     ConstantEstimates,
     TestProblem,
     estimate_constants,
     estimate_mu_p,
-    finite_diff_check,
-    finite_difference_gradient,
-    finite_difference_hessian,
     get_problem,
-    make_objective,
     problem_suite,
     random_box_quadratic,
 )
@@ -45,7 +38,6 @@ from .oracles import (
     grid_minimize_box,
 )
 from .trust_region import (
-    DegenerateModelError,
     ExactBallSolver,
     GridSolver,
     TrustRegionConfig,
@@ -61,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstantEstimates",
-    "DegenerateModelError",
     "DivergenceError",
     "EcimConfig",
     "EcimTrace",
@@ -77,20 +68,13 @@ __all__ = [
     "TrustRegionRecord",
     "TrustRegionTrace",
     "build_subproblem",
-    "ecim_step",
     "energy",
-    "energy_gradient",
     "estimate_constants",
     "estimate_mu_p",
     "exact_ball_minimize",
-    "finite_diff_check",
-    "finite_difference_gradient",
-    "finite_difference_hessian",
     "get_problem",
-    "gradient_mapping",
     "grid_minimize_box",
     "itrust",
-    "make_objective",
     "problem_suite",
     "project_box",
     "random_box_quadratic",

@@ -50,6 +50,10 @@ EXIT_NUMERICAL = 3
 # excluded from fits and bound checks.
 GAP_FLOOR = 1e-14
 
+# Accepted log-log slope of gap against K for the fixed-horizon schedule,
+# around the -1/2 of a 1/sqrt(K) decay.
+SUBLINEAR_SLOPE_BAND = (-0.7, -0.4)
+
 # Options that shape the output location, not the experiment itself; they
 # stay out of the config hash.
 _NON_EXPERIMENT_KEYS = {"out", "format", "config", "func"}
@@ -217,16 +221,8 @@ def _solver_spec(options: dict):
 
 def cmd_solve(options: dict) -> int:
     if options["problem"] is None:
-        print(
-            "usage error: solve needs --problem or a problem key in --config",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        problem = get_problem(options["problem"])
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("solve needs --problem or a problem key in --config")
+    problem = get_problem(options["problem"])
 
     config = TrustRegionConfig(
         delta0=options["delta0"],
@@ -411,8 +407,7 @@ def _verify_cell(options: dict, seed: int) -> list[dict]:
 
 def cmd_verify_bounds(options: dict) -> int:
     if options["n"] > 3:
-        print("verify-bounds supports n <= 3 (grid oracle range)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("verify-bounds supports n <= 3 (grid oracle range)")
     seeds = options["seeds"]
     rows = [row for seed in seeds for row in _verify_cell(options, seed)]
     rows.sort(key=lambda r: (r["check"], r["instance"], r["seed"], r["K"]))
@@ -428,7 +423,8 @@ def cmd_verify_bounds(options: dict) -> int:
 # rate-fit
 
 
-def _rate_cell(options: dict, seed: int) -> dict:
+def _rate_cell(options: dict, seed: int) -> tuple[dict, list[float]]:
+    """One seed's report row and the gaps it fitted."""
     n = options["n"]
     schedule = options["schedule"]
 
@@ -460,7 +456,7 @@ def _rate_cell(options: dict, seed: int) -> dict:
             trace = run_ecim(model, cfg)
             gaps.append(float(np.mean(trace.energies[K // 2 :])) - ref.value)
         fit = fit_rate(ks, gaps)
-        lo, hi, r2_min = -0.7, -0.4, 0.0
+        (lo, hi), r2_min = SUBLINEAR_SLOPE_BAND, 0.0
         passed = lo <= fit.slope <= hi
         instance = f"singular-n{n}"
     else:
@@ -471,7 +467,7 @@ def _rate_cell(options: dict, seed: int) -> dict:
         s_star = np.linalg.solve(model.symmetric_coupling(), -model.field)
         e_star = float(energy(model, s_star))
         consts = estimate_constants(model)
-        K = max(options["ks"]) if options["ks"] else 2000
+        K = max(options["ks"])
         beta0 = options["beta0"] if options["beta0"] is not None else 0.2 / consts.L
         sigma2 = options["sigma2"] if options["sigma2"] is not None else 0.0
         cfg = EcimConfig(
@@ -509,29 +505,29 @@ def _rate_cell(options: dict, seed: int) -> dict:
         "band_hi": hi,
         "r2_min": r2_min,
         "passed": bool(passed),
-        "_ks": ks,
-        "_gaps": gaps,
-    }
+    }, gaps
 
 
 def cmd_rate_fit(options: dict) -> int:
     seeds = options["seeds"]
-    rows = [_rate_cell(options, seed) for seed in seeds]
-    rows.sort(key=lambda r: (r["instance"], r["seed"]))
+    cells = [_rate_cell(options, seed) for seed in seeds]
+    cells.sort(key=lambda cell: (cell[0]["instance"], cell[0]["seed"]))
+    rows = [row for row, _ in cells]
 
     # Per-seed slopes fluctuate with the noise realization; the rate claim
     # is about the family, so the verdict pools gaps geometrically across
     # seeds at each horizon before fitting.
     if options["schedule"] == "fixed-horizon":
-        ks = rows[0]["_ks"]
+        ks = options["ks"]
         pooled = [
-            float(np.exp(np.mean([math.log(r["_gaps"][i]) for r in rows])))
-            if all(r["_gaps"][i] > 0 for r in rows)
+            float(np.exp(np.mean([math.log(gaps[i]) for _, gaps in cells])))
+            if all(gaps[i] > 0 for _, gaps in cells)
             else math.nan
             for i in range(len(ks))
         ]
         pooled_fit = fit_rate(ks, pooled)
-        verdict = -0.7 <= pooled_fit.slope <= -0.4
+        lo, hi = SUBLINEAR_SLOPE_BAND
+        verdict = lo <= pooled_fit.slope <= hi
         pooled_summary = {
             "pooled_slope": pooled_fit.slope,
             "pooled_r_squared": pooled_fit.r_squared,
@@ -539,9 +535,6 @@ def cmd_rate_fit(options: dict) -> int:
     else:
         verdict = all(r["passed"] for r in rows)
         pooled_summary = {}
-    for r in rows:
-        r.pop("_ks")
-        r.pop("_gaps")
     slopes = [r["slope"] for r in rows]
     summary = {
         "mean_slope": float(np.mean(slopes)),
@@ -788,8 +781,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (KeyError, ValueError) as exc:
         # Unknown names, out-of-range option values rejected by the config
-        # dataclasses, and requests outside an oracle's range.
-        print(f"usage error: {exc}", file=sys.stderr)
+        # dataclasses, and requests outside an oracle's range. str() of a
+        # KeyError quotes its message, so print the message itself.
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"usage error: {message}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, FloatingPointError) as exc:
         # Machine divergence, oracle non-convergence, non-finite objectives.

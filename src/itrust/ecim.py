@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QuadraticModel, energy_gradient
-from .writers import write_csv, write_json
+from .model import QuadraticModel
+from .writers import write_csv
 
 SCHEDULES = ("fixed", "fixed-horizon", "decreasing")
 
@@ -88,31 +88,17 @@ def project_box(z: np.ndarray, delta: float) -> np.ndarray:
     return np.clip(np.asarray(z, dtype=float), -delta, delta)
 
 
-def ecim_step(
-    model: QuadraticModel, s: np.ndarray, beta: float, noise: np.ndarray
-) -> np.ndarray:
-    """One projected noisy gradient step on the energy."""
-    grad = energy_gradient(model, s)
-    return project_box(s - beta * (grad - noise), model.delta)
-
-
-def gradient_mapping(s: np.ndarray, s_next: np.ndarray, beta: float) -> np.ndarray:
-    """Projected-gradient mapping ``(s - s_next) / beta`` of one step."""
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return (np.asarray(s, dtype=float) - np.asarray(s_next, dtype=float)) / beta
-
-
 @dataclass
 class EcimTrace:
     """Complete record of one machine run.
 
     ``iterates`` holds s(0..K) row-wise, ``energies`` the matching energy
     values, ``betas`` and ``gm_norms`` the K per-step step sizes and
-    gradient-mapping norms. ``averaged_iterate`` is the beta-weighted mean of
-    s(0..K-1). ``stop_index`` is the number of steps actually computed: K,
-    or fewer when a noise-free run reached an exact fixed point, after which
-    the remaining rows repeat it. It is not written to trace files.
+    gradient-mapping norms. ``averaged_iterate_at(k)`` is the beta-weighted
+    mean of s(0..k-1). ``stop_index`` is the number of steps actually
+    computed: K, or fewer when a noise-free run reached an exact fixed point,
+    after which the remaining rows repeat it. It is not written to trace
+    files.
     """
 
     iterates: np.ndarray
@@ -122,13 +108,7 @@ class EcimTrace:
     best_index: int
     best_energy: float
     best_iterate: np.ndarray
-    averaged_iterate: np.ndarray
-    s0_projected: bool
     stop_index: int
-
-    def running_best(self) -> np.ndarray:
-        """Best energy seen up to each iterate, length K + 1."""
-        return np.minimum.accumulate(self.energies)
 
     def averaged_iterate_at(self, k: int) -> np.ndarray:
         """Beta-weighted mean of s(0..k-1), the averaged output at horizon k."""
@@ -151,23 +131,9 @@ class EcimTrace:
                 [*self.betas, math.nan],
                 self.energies,
                 [*self.gm_norms, math.nan],
-                self.running_best(),
+                np.minimum.accumulate(self.energies),
             ),
         )
-
-    def to_json(self, path) -> None:
-        payload = {
-            "iterates": self.iterates.tolist(),
-            "energies": self.energies.tolist(),
-            "betas": self.betas.tolist(),
-            "gm_norms": self.gm_norms.tolist(),
-            "best_index": int(self.best_index),
-            "best_energy": float(self.best_energy),
-            "best_iterate": self.best_iterate.tolist(),
-            "averaged_iterate": self.averaged_iterate.tolist(),
-            "s0_projected": bool(self.s0_projected),
-        }
-        write_json(path, payload)
 
 
 def run_ecim(
@@ -188,7 +154,7 @@ def run_ecim(
         Schedule, noise level, horizon, and seed.
     s0 : ndarray, optional
         Start point. Defaults to a uniform draw from the box using
-        ``config.seed``; points outside the box are projected and flagged.
+        ``config.seed``; points outside the box are projected onto it.
 
     Raises
     ------
@@ -208,14 +174,10 @@ def run_ecim(
 
     if s0 is None:
         s = rng.uniform(-delta, delta, n)
-        s0_projected = False
     else:
-        s = np.array(s0, dtype=float)
+        s = project_box(s0, delta)
         if s.shape != (n,):
             raise ValueError(f"s0 shape {s.shape}, expected ({n},)")
-        s0_projected = bool(np.max(np.abs(s)) > delta)
-        if s0_projected:
-            s = project_box(s, delta)
 
     betas = step_sizes(config, model)
     beta_list = betas.tolist()
@@ -231,7 +193,8 @@ def run_ecim(
     stop_index = K
 
     # Each step writes s(k+1) in place into its trace row; the floating-point
-    # operations are those of ecim_step, so traces do not depend on the loop.
+    # operations are those of ecim_step in tests/reference.py, so traces do not
+    # depend on the loop.
     for k in range(K + 1):
         grad = S @ s
         grad += h
@@ -270,8 +233,6 @@ def run_ecim(
         s = s_next
 
     best_index = int(np.argmin(energies))
-    weight = np.sum(betas)
-    averaged = (betas @ iterates[:K]) / weight
     return EcimTrace(
         iterates=iterates,
         energies=energies,
@@ -280,7 +241,5 @@ def run_ecim(
         best_index=best_index,
         best_energy=float(energies[best_index]),
         best_iterate=iterates[best_index].copy(),
-        averaged_iterate=averaged,
-        s0_projected=s0_projected,
         stop_index=stop_index,
     )

@@ -107,12 +107,6 @@ def energy(model: QuadraticModel, s: np.ndarray) -> float:
     return float(0.5 * s @ (model.coupling @ s) + model.field @ s)
 
 
-def energy_gradient(model: QuadraticModel, s: np.ndarray) -> np.ndarray:
-    """Gradient ``0.5 (J + J') s + h`` of the energy."""
-    s = np.asarray(s, dtype=float)
-    return model.symmetric_coupling() @ s + model.field
-
-
 class Objective:
     """Twice-differentiable objective with analytic or supplied derivatives.
 

@@ -1,9 +1,9 @@
-"""Test problems, finite-difference checks, and constant estimation.
+"""Test problems and constant estimation.
 
 Everything downstream verification needs: a small library of smooth
 objectives with analytic derivatives, seeded random subproblem generators,
-central-difference derivative checks, and estimators for the gradient bound,
-smoothness, and curvature constants of a quadratic subproblem.
+and estimators for the gradient bound, smoothness, and curvature constants
+of a quadratic subproblem.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Objective, QuadraticModel
-from .writers import write_csv
 
 CONVEXITY_CLASSES = ("strongly-convex", "convex", "invex-like", "nonconvex")
 
@@ -24,69 +23,6 @@ _CORNER_MAX_DIM = 20
 # Iterates closer to the optimum than this are excluded from curvature-ratio
 # estimation; the quotient is pure noise there.
 MU_P_GAP_FLOOR = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Finite differences
-
-
-def finite_difference_gradient(f, theta, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    theta = np.asarray(theta, dtype=float)
-    g = np.empty_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = h
-        g[i] = (f(theta + e) - f(theta - e)) / (2.0 * h)
-    return g
-
-
-def finite_difference_hessian(f, theta, h: float = 1e-4) -> np.ndarray:
-    """Symmetric four-point Hessian of a scalar function."""
-    theta = np.asarray(theta, dtype=float)
-    n = theta.size
-    H = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        H[i, i] = (f(theta + ei) - 2.0 * f(theta) + f(theta - ei)) / (h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                f(theta + ei + ej)
-                - f(theta + ei - ej)
-                - f(theta - ei + ej)
-                + f(theta - ei - ej)
-            ) / (4.0 * h * h)
-    return H
-
-
-def finite_diff_check(objective: Objective, theta, h: float = 1e-5):
-    """Max relative error of analytic gradient and Hessian at one point.
-
-    Errors are infinity-norm deviations against central differences, scaled
-    by max(1, reference magnitude). The Hessian uses a wider step than the
-    gradient because the four-point formula loses more digits to roundoff.
-    """
-    theta = np.asarray(theta, dtype=float)
-    fd_g = finite_difference_gradient(objective.value, theta, h)
-    g = objective.gradient(theta)
-    grad_err = float(np.max(np.abs(fd_g - g)) / max(1.0, np.max(np.abs(g))))
-
-    fd_h = finite_difference_hessian(objective.value, theta, max(h, 1e-4))
-    H = objective.hessian(theta)
-    hess_err = float(np.max(np.abs(fd_h - H)) / max(1.0, np.max(np.abs(H))))
-    return grad_err, hess_err
-
-
-def make_objective(dim, value, gradient=None, hessian=None, optimum=None):
-    """Objective with missing derivatives filled in by central differences."""
-    if gradient is None:
-        gradient = lambda t: finite_difference_gradient(value, t)
-    if hessian is None:
-        hessian = lambda t: finite_difference_hessian(value, t)
-    return Objective(dim, value, gradient, hessian, optimum)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +162,6 @@ def logistic_dataset():
     return X, y
 
 
-def write_logistic_dataset(path) -> None:
-    """Serialize the synthetic dataset as CSV (columns x1, x2, label)."""
-    X, y = logistic_dataset()
-    rows = ([x1, x2, int(label)] for (x1, x2), label in zip(X, y))
-    write_csv(path, ["x1", "x2", "label"], rows)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -334,6 +263,8 @@ def random_box_quadratic(
     """
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"kind must be one of {INSTANCE_KINDS}, got {kind!r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     if kind in ("strongly-convex", "pl"):
@@ -365,13 +296,12 @@ def random_box_quadratic(
 
 @dataclass(frozen=True)
 class ConstantEstimates:
-    """Gradient bound G, smoothness L, curvature mu, and the empirical
-    gradient-domination constant mu_p (None when not estimable)."""
+    """Gradient bound G, smoothness L, and curvature mu (None unless the
+    coupling is positive definite)."""
 
     G: float
     L: float
     mu: float | None
-    mu_p: float | None = None
 
 
 def _gradient_bound(model: QuadraticModel) -> float:
@@ -409,16 +339,11 @@ def estimate_mu_p(trace, e_star: float) -> float | None:
     return float(np.min(ratios))
 
 
-def estimate_constants(
-    model: QuadraticModel, trace=None, e_star: float | None = None
-) -> ConstantEstimates:
-    """Constants of one subproblem: exact G and L, mu when positive definite,
-    and the empirical mu_p when a run and reference optimum are supplied."""
+def estimate_constants(model: QuadraticModel) -> ConstantEstimates:
+    """Constants of one subproblem: exact G and L, and mu when positive
+    definite. The empirical mu_p of a run is ``estimate_mu_p``."""
     S = model.symmetric_coupling()
     eigs = np.linalg.eigvalsh(S)
     L = float(np.max(np.abs(eigs)))
     mu = float(eigs[0]) if eigs[0] > 0.0 else None
-    mu_p = None
-    if trace is not None and e_star is not None:
-        mu_p = estimate_mu_p(trace, e_star)
-    return ConstantEstimates(G=_gradient_bound(model), L=L, mu=mu, mu_p=mu_p)
+    return ConstantEstimates(G=_gradient_bound(model), L=L, mu=mu)

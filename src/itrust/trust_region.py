@@ -27,10 +27,6 @@ DEGENERATE_MODEL_TOL = 1e-14
 _DELTA_FLOOR = 1e-300
 
 
-class DegenerateModelError(ArithmeticError):
-    """Predicted reduction too small to divide by."""
-
-
 @dataclass(frozen=True)
 class ExactBallSolver:
     """Solve each subproblem exactly on the inscribed Euclidean ball."""
@@ -93,16 +89,9 @@ class TrustRegionConfig:
 def reduction_ratio(f_current: float, f_trial: float, model_value: float) -> float:
     """Realized over predicted reduction ``(f_trial - f_current) / m``.
 
-    Raises
-    ------
-    DegenerateModelError
-        When ``|model_value| < DEGENERATE_MODEL_TOL``; the caller treats the
-        iteration as rejected and shrinks the radius.
+    The ratio is undefined for ``|model_value| < DEGENERATE_MODEL_TOL``;
+    ``itrust`` rejects such steps before calling this.
     """
-    if abs(model_value) < DEGENERATE_MODEL_TOL:
-        raise DegenerateModelError(
-            f"predicted reduction {model_value!r} below {DEGENERATE_MODEL_TOL}"
-        )
     return (f_trial - f_current) / model_value
 
 

@@ -138,7 +138,8 @@ def test_solve_unknown_problem_is_usage_error(tmp_path, capsys):
     rc = main(["solve", "--problem", "quad99", "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "unknown problem" in err and "quad5" in err
+    assert err.startswith("usage error: unknown problem 'quad99'")
+    assert "quad5" in err
 
 
 def test_solve_exact_ball_backend(tmp_path):
@@ -329,6 +330,25 @@ def test_verify_bounds_small_run(tmp_path, capsys):
 def test_verify_bounds_rejects_large_dimension(tmp_path, capsys):
     rc = main(["verify-bounds", "--n", "9", "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: verify-bounds supports n <= 3")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-bounds", "--n", "0"],
+        ["rate-fit", "--n", "0"],
+        ["compare-oracles", "--dims", "0", "--count", "1"],
+    ],
+)
+def test_zero_dimension_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "reports"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: n must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_verify_bounds_json_report(tmp_path):
