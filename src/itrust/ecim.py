@@ -7,6 +7,7 @@ isotropic Gaussian injection noise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,9 +21,14 @@ SCHEDULES = ("fixed", "fixed-horizon", "decreasing")
 # Energies past this magnitude abort the run before overflow turns into nan.
 DIVERGENCE_LIMIT = 1e12
 
-# Injection noise is drawn about this many bytes at a time. Consecutive draws
-# from one Generator equal a single draw bit for bit.
+# Injection noise is drawn one block of steps at a time, and a block's noise
+# takes at most about this many bytes. Consecutive draws from one Generator
+# equal a single draw bit for bit.
 NOISE_CHUNK_BYTES = 2**20
+
+# Steps per block: the bookkeeping of a run is vectorised over this many
+# steps at a time (fewer when a block's noise would pass NOISE_CHUNK_BYTES).
+BLOCK_STEPS = 64
 
 
 class DivergenceError(RuntimeError):
@@ -95,10 +101,11 @@ class EcimTrace:
     ``iterates`` holds s(0..K) row-wise, ``energies`` the matching energy
     values, ``betas`` and ``gm_norms`` the K per-step step sizes and
     gradient-mapping norms. ``averaged_iterate_at(k)`` is the beta-weighted
-    mean of s(0..k-1). ``stop_index`` is the number of steps actually
-    computed: K, or fewer when a noise-free run reached an exact fixed point,
-    after which the remaining rows repeat it. It is not written to trace
-    files.
+    mean of s(0..k-1). ``stop_index`` is the step after which the trace
+    repeats: K, or fewer when a noise-free run reached an exact fixed point
+    at step ``stop_index - 1``, and the remaining rows repeat that point.
+    Steps are computed by the block, so a run may have computed a few steps
+    past it. It is not written to trace files.
     """
 
     iterates: np.ndarray
@@ -141,9 +148,13 @@ def run_ecim(
 ) -> EcimTrace:
     """Run the machine for ``config.iterations`` steps and trace everything.
 
-    A noise-free run stops computing at an exact fixed point and fills the
-    rest of the trace with it (see ``EcimTrace.stop_index``); the trace is
-    the same as with every step computed.
+    Steps are computed in blocks of up to ``BLOCK_STEPS``: a Python loop runs
+    only the recurrence, and the energies, gradient-mapping norms and
+    stopping tests of a block are then computed together. A noise-free run
+    stops after the block in which it reaches an exact fixed point and fills
+    the rest of the trace with it (see ``EcimTrace.stop_index``). The trace
+    is bit for bit the same as with every step computed and checked one at a
+    time.
 
     Parameters
     ----------
@@ -182,7 +193,7 @@ def run_ecim(
     betas = step_sizes(config, model)
     beta_list = betas.tolist()
     sigma = math.sqrt(config.sigma2)
-    chunk_rows = max(1, NOISE_CHUNK_BYTES // (8 * n))
+    block = max(1, min(BLOCK_STEPS, NOISE_CHUNK_BYTES // (8 * n)))
 
     S = model.symmetric_coupling()
     h = model.field
@@ -191,46 +202,83 @@ def run_ecim(
     gm_norms = np.empty(K)
     iterates[0] = s
     stop_index = K
+    # Per-step buffers and row views made once: at small n a step costs its
+    # numpy calls, so the loop allocates nothing and converts no scalar bound.
+    grads = np.empty((block + 1, n))
+    grad_rows = list(grads)
+    scaled = np.empty(n)
+    lower = np.full(n, -delta)
+    upper = np.full(n, delta)
+    no_noise = itertools.repeat(None)
 
-    # Each step writes s(k+1) in place into its trace row; the floating-point
-    # operations are those of ecim_step in tests/reference.py, so traces do not
-    # depend on the loop.
-    for k in range(K + 1):
-        grad = S @ s
-        grad += h
-        e = 0.5 * (s @ grad + s @ h)
-        if not abs(e) <= DIVERGENCE_LIMIT:
-            raise DivergenceError(k, e)
-        energies[k] = e
-        if k == K:
-            break
-        beta = beta_list[k]
-        if sigma > 0.0:
-            row = k % chunk_rows
-            if row == 0:
-                noise = rng.normal(0.0, sigma, (min(chunk_rows, K - k), n))
+    # The per-step loop computes only the recurrence; each step writes s(k+1)
+    # in place into its trace row, with the floating-point operations of
+    # ecim_step in tests/reference.py. Energies, gradient-mapping norms and
+    # both stopping tests are then computed for the whole block, with the same
+    # per-row dot products as a step-by-step run, so traces do not depend on
+    # the block. A block may step past a divergence before its check; those
+    # steps are discarded, and their overflow is not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, K, block):
+            k1 = min(k0 + block, K)
+            X = iterates[k0 : k1 + 1]
+            rows = list(X)
+            noise = no_noise
+            if sigma > 0.0:
+                noise = rng.normal(0.0, sigma, (k1 - k0, n))
                 if config.modulate_noise:
-                    noise *= betas[k : k + len(noise), None]
-            grad -= noise[row]
-        grad *= beta
-        s_next = iterates[k + 1]
-        np.subtract(s, grad, out=s_next)
-        np.maximum(s_next, -delta, out=s_next)
-        np.minimum(s_next, delta, out=s_next)
-        d = s - s_next
-        d /= beta
-        gm_norms[k] = gm = math.sqrt(d @ d)
-        if gm == 0.0 and sigma == 0.0 and s_next.tobytes() == s.tobytes():
-            # Exact fixed point of a noise-free run (compared as bytes, since
-            # -0.0 == 0.0). Steps never grow, and rounding is monotone, so
-            # every later step reproduces s bit for bit, with the same energy
-            # and a zero gradient mapping.
-            iterates[k + 2 :] = s
-            energies[k + 1 :] = e
-            gm_norms[k + 1 :] = 0.0
-            stop_index = k + 1
-            break
-        s = s_next
+                    noise *= betas[k0:k1, None]
+            steps = zip(rows, rows[1:], grad_rows, noise, beta_list[k0:k1])
+            for s, s_next, g, z, beta in steps:
+                np.dot(S, s, out=g)
+                np.add(g, h, g)
+                if z is None:
+                    np.multiply(g, beta, scaled)
+                else:
+                    np.subtract(g, z, scaled)
+                    np.multiply(scaled, beta, scaled)
+                np.subtract(s, scaled, s_next)
+                np.maximum(s_next, lower, out=s_next)
+                np.minimum(s_next, upper, out=s_next)
+
+            # Rows of this block with an energy: s(k0..k1-1), and s(K) in the
+            # last block, which takes no step.
+            m = k1 - k0
+            if k1 == K:
+                np.dot(S, rows[m], out=grad_rows[m])
+                np.add(grad_rows[m], h, grad_rows[m])
+                m += 1
+            Xm = X[:m, None, :]
+            e = 0.5 * (np.matmul(Xm, grads[:m, :, None]) + np.matmul(Xm, h[:, None]))
+            e = e.reshape(m)
+            d = X[:-1] - X[1:]
+            d /= betas[k0:k1, None]
+            gm = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])).reshape(k1 - k0)
+
+            # Exact fixed point of a noise-free run: a step that returns its
+            # input bit for bit (compared as integers, since -0.0 == 0.0).
+            # Steps never grow, and rounding is monotone, so every later step
+            # reproduces it, with the same energy and a zero gradient mapping.
+            fixed = None
+            if sigma == 0.0:
+                bits = X.view(np.int64)
+                same = np.all(bits[1:] == bits[:-1], axis=1)
+                if same.any():
+                    fixed = int(np.argmax(same))
+                    e = e[: fixed + 1]
+            out_of_range = ~(np.abs(e) <= DIVERGENCE_LIMIT)
+            if out_of_range.any():
+                j = int(np.argmax(out_of_range))
+                raise DivergenceError(k0 + j, e[j])
+            energies[k0 : k0 + len(e)] = e
+            gm_norms[k0:k1] = gm
+            if fixed is not None:
+                k = k0 + fixed
+                iterates[k + 2 :] = iterates[k]
+                energies[k + 1 :] = energies[k]
+                gm_norms[k + 1 :] = 0.0
+                stop_index = k + 1
+                break
 
     best_index = int(np.argmin(energies))
     return EcimTrace(

@@ -156,13 +156,15 @@ def build_subproblem(
     theta: np.ndarray,
     delta: float,
     scaling: np.ndarray | None = None,
+    gradient: np.ndarray | None = None,
 ) -> QuadraticModel:
     """Local quadratic model at theta: J is the Hessian, h the gradient,
-    and the box half-width is the current trust radius."""
+    and the box half-width is the current trust radius. A caller that has
+    the gradient at theta already passes it as ``gradient``."""
     theta = np.asarray(theta, dtype=float)
     return QuadraticModel(
         coupling=objective.hessian(theta),
-        field=objective.gradient(theta),
+        field=objective.gradient(theta) if gradient is None else gradient,
         delta=delta,
         scaling=scaling,
     )

@@ -141,7 +141,8 @@ def solve_subproblem(
 @dataclass
 class TrustRegionRecord:
     """One outer iteration. ``step`` is None when the solver failed; ``rho``
-    is nan for rejected-degenerate and failed iterations."""
+    is nan for rejected-degenerate and failed iterations, and -inf when the
+    objective is not finite at the trial point."""
 
     t: int
     theta: np.ndarray
@@ -232,14 +233,17 @@ def itrust(
     Each iteration solves the box subproblem of half-width ``delta_t``,
     measures the reduction ratio, adapts the radius, and accepts the step
     only when the ratio exceeds ``eta``. Iterations whose predicted
-    reduction is non-negative or degenerate, and iterations whose solver
-    diverged, are rejected with a radius shrink. A machine backend is
-    reseeded per iteration (base seed plus t) so runs are reproducible.
+    reduction is non-negative or degenerate, iterations whose solver
+    diverged, and iterations whose trial value is not finite (ratio -inf,
+    as in Conn, Gould & Toint, section 6.1) are rejected with a radius
+    shrink. The gradient and the Hessian are evaluated once per accepted
+    point: a rejected iteration reuses them. A machine backend is reseeded
+    per iteration (base seed plus t) so runs are reproducible.
 
     Raises
     ------
     RuntimeError
-        When the objective returns a non-finite value.
+        When the objective is not finite at the start point.
     """
     theta = np.array(theta0, dtype=float)
     if theta.shape != (objective.dim,):
@@ -254,23 +258,34 @@ def itrust(
     records: list[TrustRegionRecord] = []
     converged = False
     previous_step: np.ndarray | None = None
+    # The gradient and the model at theta, kept until a step is accepted: a
+    # rejected iteration only changes the radius.
+    grad: np.ndarray | None = None
+    model: QuadraticModel | None = None
 
     for t in range(config.iterations):
-        grad = objective.gradient(theta)
-        grad_norm = float(np.linalg.norm(grad))
+        if grad is None:
+            grad = objective.gradient(theta)
+            grad_norm = float(np.linalg.norm(grad))
         if config.gtol is not None and grad_norm <= config.gtol:
             converged = True
             break
 
-        model = build_subproblem(objective, theta, delta, scaling=scaling)
+        if model is None:
+            model = build_subproblem(
+                objective, theta, delta, scaling=scaling, gradient=grad
+            )
+        else:
+            model = replace(model, delta=delta)
         s0 = None
         if config.warm_start and previous_step is not None:
             s0 = previous_step if scaling is None else scaling * previous_step
 
         # A failed solve, or a predicted reduction that is non-negative or
-        # degenerate, leaves rho nan: the step is rejected and the radius
-        # shrinks. The trial value is evaluated once, and only for a
-        # predicted decrease; on acceptance it becomes the current value.
+        # degenerate, leaves rho nan, and a non-finite trial value sets it to
+        # -inf: the step is rejected and the radius shrinks. The trial value
+        # is evaluated once, and only for a predicted decrease; on acceptance
+        # it becomes the current value.
         rho = math.nan
         try:
             step, mval = solve_subproblem(
@@ -286,11 +301,11 @@ def itrust(
             if not (mval >= 0.0 or abs(mval) < DEGENERATE_MODEL_TOL):
                 trial = theta + step
                 f_trial = objective.value(trial)
-                rho = reduction_ratio(f_cur, f_trial, mval)
-                if not math.isfinite(rho):
-                    raise RuntimeError(
-                        f"objective is not finite at the trial point of iteration {t}"
-                    )
+                rho = (
+                    reduction_ratio(f_cur, f_trial, mval)
+                    if math.isfinite(f_trial)
+                    else -math.inf
+                )
 
         accepted = rho > config.eta
         records.append(
@@ -313,9 +328,11 @@ def itrust(
             theta = trial
             f_cur = f_trial
             previous_step = step
+            grad = model = None
 
     if not converged and config.gtol is not None:
-        grad_norm = float(np.linalg.norm(objective.gradient(theta)))
-        converged = grad_norm <= config.gtol
+        if grad is None:
+            grad = objective.gradient(theta)
+        converged = float(np.linalg.norm(grad)) <= config.gtol
 
     return TrustRegionTrace(records=records, theta_final=theta, converged=converged)

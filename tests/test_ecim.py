@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from itrust import (
     run_ecim,
     step_sizes,
 )
-from itrust.ecim import DIVERGENCE_LIMIT, NOISE_CHUNK_BYTES
+from itrust.ecim import BLOCK_STEPS, DIVERGENCE_LIMIT, NOISE_CHUNK_BYTES
 from tests.reference import ecim_step, energy_gradient, gradient_mapping
 
 
@@ -345,21 +346,27 @@ def _assert_bit_identical(trace: EcimTrace, ref: EcimTrace) -> None:
 
 @pytest.mark.parametrize("schedule", ["fixed", "fixed-horizon", "decreasing"])
 def test_run_matches_step_by_step_reference(schedule):
-    for seed, (n, kind) in enumerate(((1, "psd"), (4, "indefinite"), (7, "pl"))):
+    # Horizons of one step, part of a block, exactly two blocks, and several
+    # blocks with a partial last one.
+    runs = itertools.product(
+        (1, BLOCK_STEPS // 3, 2 * BLOCK_STEPS, 300),
+        enumerate(((1, "psd"), (4, "indefinite"), (7, "pl"))),
+        ((0.0, False), (1e-4, False), (0.1, True)),
+    )
+    for K, (seed, (n, kind)), (sigma2, modulate) in runs:
         model = random_box_quadratic(n, seed, kind=kind)
-        for sigma2, modulate in ((0.0, False), (1e-4, False), (0.1, True)):
-            config = EcimConfig(
-                schedule=schedule,
-                beta0=0.4,
-                sigma2=sigma2,
-                iterations=300,
-                seed=seed,
-                modulate_noise=modulate,
-            )
-            trace = run_ecim(model, config)
-            _assert_bit_identical(trace, _reference_run(model, config))
-            if sigma2 > 0.0:
-                assert trace.stop_index == 300
+        config = EcimConfig(
+            schedule=schedule,
+            beta0=0.4,
+            sigma2=sigma2,
+            iterations=K,
+            seed=seed,
+            modulate_noise=modulate,
+        )
+        trace = run_ecim(model, config)
+        _assert_bit_identical(trace, _reference_run(model, config))
+        if sigma2 > 0.0:
+            assert trace.stop_index == K
 
 
 @pytest.mark.parametrize("schedule", ["fixed", "fixed-horizon", "decreasing"])
@@ -373,6 +380,20 @@ def test_fixed_point_stop_matches_reference(schedule):
     assert np.all(trace.iterates[trace.stop_index :] == 0.5)
     assert np.all(trace.gm_norms[trace.stop_index - 1 :] == 0.0)
     _assert_bit_identical(trace, _reference_run(model, config))
+
+
+@pytest.mark.parametrize("offset", [1, 0])
+def test_fixed_point_at_block_edge_matches_reference(offset):
+    # A constant slope with step 1 / BLOCK_STEPS walks s from the start to the
+    # 0.5 wall in BLOCK_STEPS - offset exact steps; the next step returns the
+    # wall point. That fixed point is the last step of the first block
+    # (offset 1) or the first step of the second (offset 0).
+    model = QuadraticModel(np.zeros((2, 2)), np.array([-1.0, 0.0]), delta=0.5)
+    config = EcimConfig(beta0=1.0 / BLOCK_STEPS, iterations=3 * BLOCK_STEPS)
+    s0 = np.array([-0.5 + offset / BLOCK_STEPS, 0.25])
+    trace = run_ecim(model, config, s0)
+    assert trace.stop_index == BLOCK_STEPS + 1 - offset
+    _assert_bit_identical(trace, _reference_run(model, config, s0))
 
 
 @pytest.mark.parametrize("modulate", [False, True])
@@ -394,13 +415,24 @@ def test_chunked_noise_matches_single_draw(modulate):
     _assert_bit_identical(run_ecim(model, config), _reference_run(model, config))
 
 
+@pytest.mark.filterwarnings("error")
 def test_divergence_at_reference_iteration():
-    model = QuadraticModel(np.array([[-1.0, 0.2], [0.2, -0.5]]), np.ones(2), 1e9)
-    config = EcimConfig(beta0=10.0, iterations=200, seed=0)
-    s0 = np.array([1.0, -0.5])
-    with pytest.raises(DivergenceError) as ref:
-        _reference_run(model, config, s0)
-    with pytest.raises(DivergenceError) as info:
-        run_ecim(model, config, s0)
-    assert info.value.iteration == ref.value.iteration > 1
-    assert repr(info.value.value) == repr(ref.value.value)
+    cases = (
+        (
+            QuadraticModel(np.array([[-1.0, 0.2], [0.2, -0.5]]), np.ones(2), 1e9),
+            10.0,
+            np.array([1.0, -0.5]),
+        ),
+        # s grows by 1e9 a step: the energy leaves the range mid-block, and the
+        # block's later steps overflow before its check runs. No warning may
+        # escape.
+        (QuadraticModel(np.array([[-1.0]]), np.zeros(1), 1e308), 1e9, np.array([1e-250])),
+    )
+    for model, beta0, s0 in cases:
+        config = EcimConfig(beta0=beta0, iterations=200, seed=0)
+        with pytest.raises(DivergenceError) as ref:
+            _reference_run(model, config, s0)
+        with pytest.raises(DivergenceError) as info:
+            run_ecim(model, config, s0)
+        assert info.value.iteration == ref.value.iteration > 1
+        assert repr(info.value.value) == repr(ref.value.value)

@@ -344,9 +344,10 @@ def test_non_finite_objective_raises():
         itrust(obj, TrustRegionConfig(), np.zeros(1))
 
 
-def test_non_finite_trial_point_raises():
+def test_non_finite_trial_point_rejects_and_shrinks():
     # Finite at the start, nan past -0.05; the reported slope overshoots the
-    # trial point into the nan region, so the ratio check must trip.
+    # trial point into the nan region. The ratio is -inf there: the step is
+    # rejected and the radius shrinks.
     def value(t):
         return 0.5 * float(t @ t) if t[0] >= -0.05 else math.nan
 
@@ -357,8 +358,35 @@ def test_non_finite_trial_point_raises():
         hessian=lambda t: np.eye(1),
     )
     config = TrustRegionConfig(solver=ExactBallSolver(), iterations=5, gtol=None)
-    with pytest.raises(RuntimeError, match="trial point"):
-        itrust(obj, config, np.array([0.2]))
+    trace = itrust(obj, config, np.array([0.2]))
+    first = trace.records[0]
+    assert first.rho == -math.inf and not first.accepted
+    assert trace.records[1].delta == 0.25 * first.delta
+    assert np.array_equal(trace.records[1].theta, [0.2])
+
+
+def test_log_barrier_overshoot_recovers():
+    # -log(1 - theta) - 3 theta is finite only below 1, and its minimizer is
+    # 2/3. From -3 the first step of radius 5 lands past the barrier, where
+    # the value is nan: that iteration is rejected, and the run converges.
+    def value(t):
+        with np.errstate(invalid="ignore"):
+            return float(-np.log(1.0 - t[0]) - 3.0 * t[0])
+
+    obj = Objective(
+        dim=1,
+        value=value,
+        gradient=lambda t: np.array([1.0 / (1.0 - t[0]) - 3.0]),
+        hessian=lambda t: np.array([[1.0 / (1.0 - t[0]) ** 2]]),
+    )
+    config = TrustRegionConfig(solver=ExactBallSolver(), delta0=5.0)
+    trace = itrust(obj, config, np.array([-3.0]))
+    first = trace.records[0]
+    assert first.rho == -math.inf and not first.accepted
+    assert trace.records[1].delta == 1.25
+    assert trace.converged
+    assert trace.n_iterations == 7
+    assert trace.theta_final[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 def test_trace_serialization(tmp_path):
