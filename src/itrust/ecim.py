@@ -159,8 +159,7 @@ def run_ecim(
     Parameters
     ----------
     model : QuadraticModel
-        Subproblem to relax. Must already be in solver coordinates; pass
-        ``model.in_scaled_coordinates()`` when an elliptical scaling is set.
+        Subproblem to relax.
     config : EcimConfig
         Schedule, noise level, horizon, and seed.
     s0 : ndarray, optional
@@ -173,11 +172,6 @@ def run_ecim(
         When any iterate's energy is non-finite or beyond the divergence
         limit; carries the offending iteration index.
     """
-    if model.scaling is not None:
-        raise ValueError(
-            "model carries an elliptical scaling; solve "
-            "model.in_scaled_coordinates() and map back with from_scaled()"
-        )
     n = model.dim
     delta = model.delta
     K = config.iterations

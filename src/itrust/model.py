@@ -28,29 +28,24 @@ class QuadraticModel:
 
     Parameters
     ----------
-    coupling : ndarray, shape (n, n)
+    coupling : ndarray, shape (n, n), n >= 1
         Coupling matrix J. May be asymmetric; the energy value uses it as
         given, while gradients use the symmetric part.
     field : ndarray, shape (n,)
         Linear field h.
     delta : float
         Box half-width, strictly positive.
-    scaling : ndarray, shape (n,), optional
-        Diagonal of an elliptical scaling D. When present, solvers operate on
-        the transformed model returned by :meth:`in_scaled_coordinates` and
-        map points back with :meth:`from_scaled`.
     """
 
     coupling: np.ndarray
     field: np.ndarray
     delta: float
-    scaling: np.ndarray | None = None
 
     def __post_init__(self):
         J = _as_readonly(self.coupling)
         h = _as_readonly(self.field)
-        if J.ndim != 2 or J.shape[0] != J.shape[1]:
-            raise ValueError(f"coupling must be square, got shape {J.shape}")
+        if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] == 0:
+            raise ValueError(f"coupling must be square and non-empty, got {J.shape}")
         if h.shape != (J.shape[0],):
             raise ValueError(
                 f"field shape {h.shape} does not match coupling {J.shape}"
@@ -62,13 +57,6 @@ class QuadraticModel:
         object.__setattr__(self, "coupling", J)
         object.__setattr__(self, "field", h)
         object.__setattr__(self, "delta", float(self.delta))
-        if self.scaling is not None:
-            d = _as_readonly(self.scaling)
-            if d.shape != h.shape:
-                raise ValueError("scaling must match the field dimension")
-            if np.any(d < 0.0) or not np.any(d > 0.0):
-                raise ValueError("scaling entries must be >= 0 with one > 0")
-            object.__setattr__(self, "scaling", d)
 
     @property
     def dim(self) -> int:
@@ -77,28 +65,6 @@ class QuadraticModel:
     def symmetric_coupling(self) -> np.ndarray:
         """Symmetric part of J, the matrix the gradient actually sees."""
         return 0.5 * (self.coupling + self.coupling.T)
-
-    def in_scaled_coordinates(self) -> "QuadraticModel":
-        """Return the model expressed in u = D s coordinates.
-
-        Transforms J -> D^-1 J D^-1 and h -> D^-1 h; the box half-width is
-        unchanged because it now constrains u. Requires strictly positive
-        scaling entries.
-        """
-        if self.scaling is None:
-            return self
-        if np.any(self.scaling == 0.0):
-            raise ValueError("scaling with zero entries cannot be inverted")
-        inv = 1.0 / self.scaling
-        J = self.coupling * np.outer(inv, inv)
-        h = self.field * inv
-        return QuadraticModel(J, h, self.delta)
-
-    def from_scaled(self, u: np.ndarray) -> np.ndarray:
-        """Map a point from u = D s coordinates back to the original ones."""
-        if self.scaling is None:
-            return np.array(u, dtype=float)
-        return np.asarray(u, dtype=float) / self.scaling
 
 
 def energy(model: QuadraticModel, s: np.ndarray) -> float:
@@ -155,7 +121,6 @@ def build_subproblem(
     objective: Objective,
     theta: np.ndarray,
     delta: float,
-    scaling: np.ndarray | None = None,
     gradient: np.ndarray | None = None,
 ) -> QuadraticModel:
     """Local quadratic model at theta: J is the Hessian, h the gradient,
@@ -166,5 +131,4 @@ def build_subproblem(
         coupling=objective.hessian(theta),
         field=objective.gradient(theta) if gradient is None else gradient,
         delta=delta,
-        scaling=scaling,
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ecim import EcimConfig, run_ecim
 from .model import QuadraticModel, energy
 
 # Exhaustive search is limited to dimensions where the lattice is tractable.
@@ -58,13 +59,17 @@ def grid_minimize_box(
     The lattice spans ``[-delta, delta]`` per axis with spacing at most
     ``resolution`` and always includes both endpoints. Ties are broken toward
     the lexicographically smallest lattice index so repeated calls are
-    byte-stable. The best lattice point is refined by ``polish_steps``
-    projected-gradient steps at ``1 / L``.
+    byte-stable. The best lattice point is then polished by a noise-free
+    ``run_ecim`` of ``polish_steps`` steps at ``1 / L`` (L the spectral
+    radius of the symmetric coupling), kept only when it lowers the energy.
 
     Raises
     ------
     OracleCapabilityError
         For dimensions above ``GRID_MAX_DIM``.
+    DivergenceError
+        When an energy of the polish run is beyond ``DIVERGENCE_LIMIT``
+        (1e12).
     """
     n = model.dim
     if n > GRID_MAX_DIM:
@@ -104,12 +109,10 @@ def grid_minimize_box(
             best_val = float(vals[i])
             best_point = block[i].copy()
 
-    lam = float(np.max(np.abs(np.linalg.eigvalsh(S)))) if n > 0 else 0.0
+    lam = float(np.max(np.abs(np.linalg.eigvalsh(S))))
     if lam > 0.0 and polish_steps > 0:
-        beta = 1.0 / lam
-        s = best_point.copy()
-        for _ in range(polish_steps):
-            s = np.clip(s - beta * (S @ s + h), -delta, delta)
+        config = EcimConfig(beta0=1.0 / lam, iterations=polish_steps)
+        s = run_ecim(model, config, s0=best_point).iterates[-1].copy()
         polished = energy(model, s)
         if polished < best_val:
             best_val = polished
@@ -164,6 +167,10 @@ def exact_ball_minimize(
             r = float(np.linalg.norm(gt[keep] / (w[keep] + lam)))
         return math.inf if math.isnan(r) else r
 
+    def solution(p: np.ndarray, lam: float) -> OracleSolution:
+        value = float(g @ p + 0.5 * p @ (H @ p))
+        return OracleSolution(p, value, "exact-ball", multiplier=lam)
+
     all_keep = np.ones_like(w, dtype=bool)
 
     # Positive semidefinite branch: try the (pseudo-)Newton step.
@@ -172,12 +179,7 @@ def exact_ball_minimize(
         if np.all(np.abs(gt[~pos]) <= 1e-12 * max(1.0, g_norm)):
             p = point(0.0, pos)
             if np.linalg.norm(p) <= delta:
-                return OracleSolution(
-                    s_star=p,
-                    value=float(g @ p + 0.5 * p @ (H @ p)),
-                    method="exact-ball",
-                    multiplier=0.0,
-                )
+                return solution(p, 0.0)
 
     # Hard case: no gradient on the minimal eigenspace and the remaining
     # residual fits strictly inside the ball at the smallest admissible lam.
@@ -190,12 +192,7 @@ def exact_ball_minimize(
                 p = point(lam_floor, perp)
                 tau = math.sqrt(max(delta * delta - r * r, 0.0))
                 p = p + tau * Q[:, 0]
-                return OracleSolution(
-                    s_star=p,
-                    value=float(g @ p + 0.5 * p @ (H @ p)),
-                    method="exact-ball",
-                    multiplier=lam_floor,
-                )
+                return solution(p, lam_floor)
 
     # Regular case: the residual norm is decreasing in lam with a pole at
     # lam_floor, so a bracket [lam_floor, lam_floor + |g|/delta] always holds.
@@ -221,11 +218,4 @@ def exact_ball_minimize(
             hi = mid
         it += 1
 
-    lam = hi
-    p = point(lam, all_keep)
-    return OracleSolution(
-        s_star=p,
-        value=float(g @ p + 0.5 * p @ (H @ p)),
-        method="exact-ball",
-        multiplier=lam,
-    )
+    return solution(point(hi, all_keep), hi)

@@ -49,9 +49,12 @@ class TrustRegionConfig:
     ``mu`` is the rejection threshold and ``1 - mu`` the growth threshold of
     the radius update; ``eta`` is the acceptance threshold. The boundary test
     for radius growth uses ``boundary_tol * max(1, delta)``. ``gtol`` of None
-    disables the gradient-norm early stop. ``scaling`` applies an elliptical
-    change of coordinates to every subproblem. With ``warm_start`` the
-    machine starts from the previous step instead of a fresh random point.
+    disables the gradient-norm early stop. ``scaling`` is the diagonal of an
+    elliptical scaling D: every subproblem is solved in ``u = D s``
+    coordinates, where the box ``|u_i| <= delta`` bounds ``||D s||_inf``. Its
+    entries must be positive and finite, and its shape that of ``theta0``.
+    With ``warm_start`` the machine starts from the previous step instead of
+    a fresh random point.
     """
 
     delta0: float = 1.0
@@ -84,6 +87,14 @@ class TrustRegionConfig:
             raise ValueError(f"boundary_tol must be >= 0, got {self.boundary_tol}")
         if self.gtol is not None and self.gtol < 0.0:
             raise ValueError(f"gtol must be >= 0 or None, got {self.gtol}")
+        if self.scaling is not None:
+            d = np.array(self.scaling, dtype=float)
+            if not np.all(np.isfinite(d) & (d > 0.0)):
+                raise ValueError(
+                    f"scaling entries must be positive and finite, got {d}"
+                )
+            d.setflags(write=False)
+            object.__setattr__(self, "scaling", d)
 
 
 def reduction_ratio(f_current: float, f_trial: float, model_value: float) -> float:
@@ -114,15 +125,27 @@ def solve_subproblem(
     solver: SubproblemSolver,
     seed: int = 0,
     s0: np.ndarray | None = None,
+    scaling: np.ndarray | None = None,
 ):
     """Minimize one subproblem with the selected backend.
 
-    Applies the model's elliptical scaling (solvers run in scaled
-    coordinates, the returned step is mapped back), then dispatches on the
-    solver spec. Returns ``(step, value)`` with the value measured by the
-    original model.
+    With a ``scaling`` D of shape (n,) and positive entries, the backend
+    solves the model in ``u = D s`` coordinates, ``D^-1 J D^-1`` and
+    ``D^-1 h`` on the same box, and the step is mapped back to
+    ``s = D^-1 u``; ``s0`` is given in u coordinates, and a scaling of
+    another shape raises ``ValueError``. Returns ``(step, value)`` with the
+    value measured by the unscaled model.
     """
-    work = model.in_scaled_coordinates()
+    work = model
+    if scaling is not None:
+        if np.shape(scaling) != (model.dim,):
+            raise ValueError(
+                f"scaling shape {np.shape(scaling)}, expected ({model.dim},)"
+            )
+        inv = 1.0 / scaling
+        work = QuadraticModel(
+            model.coupling * np.outer(inv, inv), model.field * inv, model.delta
+        )
     if isinstance(solver, EcimConfig):
         trace = run_ecim(work, replace(solver, seed=seed), s0=s0)
         u = trace.best_iterate
@@ -134,7 +157,7 @@ def solve_subproblem(
         u = sol.s_star
     else:
         raise TypeError(f"unknown solver spec {solver!r}")
-    step = model.from_scaled(u)
+    step = u if scaling is None else u / scaling
     return step, energy(model, step)
 
 
@@ -272,9 +295,7 @@ def itrust(
             break
 
         if model is None:
-            model = build_subproblem(
-                objective, theta, delta, scaling=scaling, gradient=grad
-            )
+            model = build_subproblem(objective, theta, delta, gradient=grad)
         else:
             model = replace(model, delta=delta)
         s0 = None
@@ -289,7 +310,7 @@ def itrust(
         rho = math.nan
         try:
             step, mval = solve_subproblem(
-                model, config.solver, seed=base_seed + t, s0=s0
+                model, config.solver, seed=base_seed + t, s0=s0, scaling=scaling
             )
         except (DivergenceError, NumericalError):
             step, mval, step_inf = None, math.nan, math.nan

@@ -265,12 +265,6 @@ def test_divergence_raises_with_iteration_index():
     assert abs(info.value.value) > 1e12 or math.isnan(info.value.value)
 
 
-def test_scaled_model_is_refused():
-    model = QuadraticModel(np.eye(2), np.zeros(2), delta=1.0, scaling=np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="scaled"):
-        run_ecim(model, EcimConfig(iterations=5))
-
-
 def test_trace_csv_is_deterministic(tmp_path):
     model = QuadraticModel(np.eye(2), np.array([0.2, 0.1]), delta=0.5)
     config = EcimConfig(beta0=0.3, sigma2=0.1, iterations=25, seed=7)

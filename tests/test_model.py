@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from itrust import (
+    EcimConfig,
     Objective,
     QuadraticModel,
     build_subproblem,
     energy,
+    solve_subproblem,
 )
 from tests.reference import energy_gradient
 
@@ -99,9 +101,7 @@ def test_model_validation_errors():
     with pytest.raises(ValueError):
         QuadraticModel(np.eye(2), np.array([np.nan, 0.0]), delta=1.0)
     with pytest.raises(ValueError):
-        QuadraticModel(np.eye(2), np.zeros(2), delta=1.0, scaling=np.ones(3))
-    with pytest.raises(ValueError):
-        QuadraticModel(np.eye(2), np.zeros(2), delta=1.0, scaling=np.array([-1.0, 1.0]))
+        QuadraticModel(np.zeros((0, 0)), np.zeros(0), delta=1.0)
 
 
 def test_model_arrays_are_readonly():
@@ -113,27 +113,25 @@ def test_model_arrays_are_readonly():
 
 
 def test_scaling_round_trip():
-    """Scaled coordinates u = D s: energies must agree through the map."""
+    """Scaled coordinates u = D s: a step solved with ``scaling=d`` is the
+    solution of the model in u coordinates mapped back, and the energies
+    agree through the map."""
     rng = np.random.default_rng(5)
-    for _ in range(20):
+    solver = EcimConfig(iterations=50)
+    for seed in range(20):
         n = int(rng.integers(1, 5))
         J = rng.normal(size=(n, n))
         J = 0.5 * (J + J.T)
         h = rng.normal(size=n)
         d = rng.uniform(0.5, 4.0, n)
-        model = QuadraticModel(J, h, delta=1.0, scaling=d)
-        scaled = model.in_scaled_coordinates()
-        assert scaled.scaling is None
-        u = rng.uniform(-1.0, 1.0, n)
-        s = model.from_scaled(u)
-        assert np.allclose(d * s, u, atol=1e-14)
-        assert energy(scaled, u) == pytest.approx(energy(model, s), rel=1e-10, abs=1e-12)
-
-
-def test_scaled_model_without_scaling_is_identity():
-    model = QuadraticModel(np.eye(2), np.ones(2), delta=1.0)
-    assert model.in_scaled_coordinates() is model
-    assert np.allclose(model.from_scaled(np.array([0.3, -0.2])), [0.3, -0.2])
+        model = QuadraticModel(J, h, delta=1.0)
+        inv = 1.0 / d
+        scaled = QuadraticModel(J * np.outer(inv, inv), h * inv, delta=1.0)
+        s, value = solve_subproblem(model, solver, seed=seed, scaling=d)
+        u, scaled_value = solve_subproblem(scaled, solver, seed=seed)
+        assert np.allclose(d * s, u, atol=1e-12)
+        assert value == energy(model, s)
+        assert value == pytest.approx(scaled_value, rel=1e-10, abs=1e-12)
 
 
 def test_symmetric_coupling():

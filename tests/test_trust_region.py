@@ -95,6 +95,10 @@ def test_config_validation():
         TrustRegionConfig(iterations=0)
     with pytest.raises(ValueError):
         TrustRegionConfig(gtol=-1.0)
+    for bad in ([0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="scaling"):
+            TrustRegionConfig(scaling=bad)
+    assert TrustRegionConfig(scaling=[1, 2]).scaling.dtype == float
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +137,15 @@ def test_solve_subproblem_applies_scaling():
     # Whitened coordinates turn the ellipse into a sphere; the returned step
     # must live in the original coordinates.
     diag = np.array([1.0, 100.0])
-    model = QuadraticModel(
-        np.diag(diag), np.array([-1.0, -10.0]), delta=1.0, scaling=np.sqrt(diag)
-    )
-    step, value = solve_subproblem(model, ExactBallSolver())
+    model = QuadraticModel(np.diag(diag), np.array([-1.0, -10.0]), delta=1.0)
+    step, value = solve_subproblem(model, ExactBallSolver(), scaling=np.sqrt(diag))
     u = np.sqrt(diag) * step
     assert np.linalg.norm(u) <= 1.0 + 1e-9
-    from itrust import energy
-
     assert value == pytest.approx(energy(model, step), abs=1e-12)
+    # A length-1 scaling would broadcast silently against the 2-D model.
+    for shape in ((1,), (3,)):
+        with pytest.raises(ValueError, match="scaling shape"):
+            solve_subproblem(model, ExactBallSolver(), scaling=np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +335,8 @@ def test_theta0_shape_validation():
     p = get_problem("quad2")
     with pytest.raises(ValueError):
         itrust(p.objective, TrustRegionConfig(), np.zeros(3))
+    with pytest.raises(ValueError, match="scaling shape"):
+        itrust(p.objective, TrustRegionConfig(scaling=np.ones(1)), p.start)
 
 
 def test_non_finite_objective_raises():
