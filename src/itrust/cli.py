@@ -56,7 +56,7 @@ SUBLINEAR_SLOPE_BAND = (-0.7, -0.4)
 
 # Options that shape the output location, not the experiment itself; they
 # stay out of the config hash.
-_NON_EXPERIMENT_KEYS = {"out", "format", "config", "func"}
+_NON_EXPERIMENT_KEYS = {"out", "format", "config"}
 
 
 class InsufficientDataError(ValueError):
@@ -80,17 +80,17 @@ def fit_linear_decay(iterations, gaps) -> RateFit:
     Raises
     ------
     InsufficientDataError
-        With fewer than 4 usable pairs.
+        With usable pairs at fewer than 4 distinct x.
     """
     x = np.asarray(iterations, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     keep = np.isfinite(gaps) & (gaps > GAP_FLOOR)
-    n_points = int(np.sum(keep))
-    if n_points < 4:
-        raise InsufficientDataError(
-            f"need >= 4 positive gaps to fit a rate, got {n_points}"
-        )
     x, y = x[keep], np.log(gaps[keep])
+    n_distinct = np.unique(x).size
+    if n_distinct < 4:
+        raise InsufficientDataError(
+            f"need positive gaps at >= 4 distinct x to fit a rate, got {n_distinct}"
+        )
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)
     total = y - np.mean(y)
@@ -100,7 +100,7 @@ def fit_linear_decay(iterations, gaps) -> RateFit:
         slope=float(slope),
         intercept=float(intercept),
         r_squared=r2,
-        n_points=n_points,
+        n_points=int(x.size),
     )
 
 
@@ -655,19 +655,23 @@ def build_parser() -> tuple[
     p = sub.add_parser("solve", help="run the trust-region loop on a problem")
     p.add_argument("--problem", help="problem name (required, flag or config file)")
     p.add_argument("--solver", choices=("ecim", "exact-ball", "grid"), default="ecim")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--T", type=int, default=100, help="outer iterations")
+    p.add_argument("--seed", type=int, default=EcimConfig.seed)
+    p.add_argument(
+        "--T", type=int, default=TrustRegionConfig.iterations, help="outer iterations"
+    )
     p.add_argument("--K", type=int, default=2000, help="machine iterations")
-    p.add_argument("--beta0", type=_parse_beta0, default=None)
-    p.add_argument("--sigma2", type=float, default=0.0)
-    p.add_argument("--schedule", choices=SCHEDULES, default="fixed")
+    p.add_argument("--beta0", type=_parse_beta0, default=EcimConfig.beta0)
+    p.add_argument("--sigma2", type=float, default=EcimConfig.sigma2)
+    p.add_argument("--schedule", choices=SCHEDULES, default=EcimConfig.schedule)
     p.add_argument("--modulate-noise", action="store_true")
-    p.add_argument("--delta0", type=float, default=1.0)
-    p.add_argument("--delta-max", type=float, default=100.0)
-    p.add_argument("--mu", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=0.75)
-    p.add_argument("--gtol", type=float, default=1e-8)
-    p.add_argument("--resolution", type=float, default=0.01, help="grid solver")
+    p.add_argument("--delta0", type=float, default=TrustRegionConfig.delta0)
+    p.add_argument("--delta-max", type=float, default=TrustRegionConfig.delta_max)
+    p.add_argument("--mu", type=float, default=TrustRegionConfig.mu)
+    p.add_argument("--eta", type=float, default=TrustRegionConfig.eta)
+    p.add_argument("--gtol", type=float, default=TrustRegionConfig.gtol)
+    p.add_argument(
+        "--resolution", type=float, default=GridSolver.resolution, help="grid solver"
+    )
     p.add_argument("--use-scaling", action="store_true")
     p.add_argument("--warm-start", action="store_true")
     _add_common(p)
@@ -728,17 +732,15 @@ def _file_value(action: argparse.Action, raw: str):
 
 
 def _apply_config_file(
-    args: argparse.Namespace,
-    argv: list[str],
-    subcommands: dict[str, argparse.ArgumentParser],
+    args: argparse.Namespace, subcommands: dict[str, argparse.ArgumentParser]
 ) -> None:
-    """File values fill in options the command line left at their defaults.
+    """File values become the defaults of the subcommand's parser, so that
+    parsing the command line again lets every flag given there win, whether
+    spelled out or abbreviated.
 
     A key that only another subcommand accepts is skipped; a key that no
     subcommand accepts is an error.
     """
-    if not getattr(args, "config", None):
-        return
     values = read_config_file(args.config)
     actions = {
         name: {
@@ -748,28 +750,27 @@ def _apply_config_file(
         }
         for name, p in subcommands.items()
     }
-    explicit = {
-        token[2:].split("=", 1)[0].replace("-", "_")
-        for token in argv
-        if token.startswith("--")
-    }
     own = actions[args.command]
+    defaults = {}
     for key, raw in values.items():
         if not any(key in known for known in actions.values()):
             raise ValueError(f"unknown config key {key!r}")
-        if key in own and key not in explicit:
-            setattr(args, key, _file_value(own[key], raw))
+        if key in own:
+            defaults[key] = _file_value(own[key], raw)
+    subcommands[args.command].set_defaults(**defaults)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subcommands = build_parser()
     args = parser.parse_args(argv)
-    try:
-        _apply_config_file(args, argv, subcommands)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.config:
+        try:
+            _apply_config_file(args, subcommands)
+        except (OSError, ValueError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        args = parser.parse_args(argv)
 
     options = vars(args).copy()
     command = options.pop("command")

@@ -67,8 +67,8 @@ class EcimConfig:
             )
         if self.beta0 is not None and not self.beta0 > 0.0:
             raise ValueError(f"beta0 must be positive, got {self.beta0}")
-        if self.sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 

@@ -16,8 +16,8 @@ import numpy as np
 SYMMETRY_TOL = 1e-10
 
 
-def _as_readonly(a, dtype=float):
-    out = np.array(a, dtype=dtype)
+def _as_readonly(a):
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -121,14 +121,13 @@ def build_subproblem(
     objective: Objective,
     theta: np.ndarray,
     delta: float,
-    gradient: np.ndarray | None = None,
+    gradient: np.ndarray,
 ) -> QuadraticModel:
-    """Local quadratic model at theta: J is the Hessian, h the gradient,
-    and the box half-width is the current trust radius. A caller that has
-    the gradient at theta already passes it as ``gradient``."""
-    theta = np.asarray(theta, dtype=float)
+    """Local quadratic model at theta: J is the Hessian, h the given
+    ``gradient`` at theta, and the box half-width is the current trust
+    radius."""
     return QuadraticModel(
         coupling=objective.hessian(theta),
-        field=objective.gradient(theta) if gradient is None else gradient,
+        field=gradient,
         delta=delta,
     )

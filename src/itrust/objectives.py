@@ -244,11 +244,12 @@ def get_problem(name: str) -> TestProblem:
 
 INSTANCE_KINDS = ("strongly-convex", "psd", "singular", "indefinite", "pl")
 
+# Box half-width of every random instance.
+INSTANCE_DELTA = 0.5
 
-def random_box_quadratic(
-    n: int, seed: int, delta: float = 0.5, kind: str = "psd"
-) -> QuadraticModel:
-    """Seeded random quadratic subproblem on the box ``|s_i| <= delta``.
+
+def random_box_quadratic(n: int, seed: int, kind: str = "psd") -> QuadraticModel:
+    """Seeded random quadratic subproblem on the box ``|s_i| <= INSTANCE_DELTA``.
 
     ``strongly-convex`` draws eigenvalues in [0.4, 2], ``psd`` in [0, 2],
     ``singular`` zeroes one eigenvalue exactly, and ``indefinite`` forces at
@@ -281,13 +282,13 @@ def random_box_quadratic(
     J = (Q * eigs) @ Q.T
     J = 0.5 * (J + J.T)
     if kind == "pl":
-        s_star = rng.uniform(-0.6 * delta, 0.6 * delta, n)
+        s_star = rng.uniform(-0.6 * INSTANCE_DELTA, 0.6 * INSTANCE_DELTA, n)
         h = -J @ s_star
     else:
         direction = rng.normal(size=n)
         direction /= np.linalg.norm(direction)
         h = rng.uniform(0.15, 0.5) * direction
-    return QuadraticModel(J, h, delta)
+    return QuadraticModel(J, h, INSTANCE_DELTA)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +297,10 @@ def random_box_quadratic(
 
 @dataclass(frozen=True)
 class ConstantEstimates:
-    """Gradient bound G, smoothness L, and curvature mu (None unless the
-    coupling is positive definite)."""
+    """Gradient bound G over the box and smoothness L."""
 
     G: float
     L: float
-    mu: float | None
 
 
 def _gradient_bound(model: QuadraticModel) -> float:
@@ -340,10 +339,7 @@ def estimate_mu_p(trace, e_star: float) -> float | None:
 
 
 def estimate_constants(model: QuadraticModel) -> ConstantEstimates:
-    """Constants of one subproblem: exact G and L, and mu when positive
-    definite. The empirical mu_p of a run is ``estimate_mu_p``."""
-    S = model.symmetric_coupling()
-    eigs = np.linalg.eigvalsh(S)
-    L = float(np.max(np.abs(eigs)))
-    mu = float(eigs[0]) if eigs[0] > 0.0 else None
-    return ConstantEstimates(G=_gradient_bound(model), L=L, mu=mu)
+    """Constants of one subproblem: exact G and L. The empirical mu_p of a
+    run is ``estimate_mu_p``."""
+    L = float(np.max(np.abs(np.linalg.eigvalsh(model.symmetric_coupling()))))
+    return ConstantEstimates(G=_gradient_bound(model), L=L)

@@ -26,6 +26,12 @@ DEGENERATE_MODEL_TOL = 1e-14
 # Keeps the radius constructible after long runs of rejected iterations.
 _DELTA_FLOOR = 1e-300
 
+# Radius update factors (Nocedal & Wright, Alg. 4.1), and the tolerance,
+# scaled by max(1, delta), within which a step touches the box boundary.
+SHRINK_FACTOR = 0.25
+GROW_FACTOR = 2.0
+BOUNDARY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ExactBallSolver:
@@ -47,8 +53,7 @@ class TrustRegionConfig:
     """Outer-loop hyperparameters.
 
     ``mu`` is the rejection threshold and ``1 - mu`` the growth threshold of
-    the radius update; ``eta`` is the acceptance threshold. The boundary test
-    for radius growth uses ``boundary_tol * max(1, delta)``. ``gtol`` of None
+    the radius update; ``eta`` is the acceptance threshold. ``gtol`` of None
     disables the gradient-norm early stop. ``scaling`` is the diagonal of an
     elliptical scaling D: every subproblem is solved in ``u = D s``
     coordinates, where the box ``|u_i| <= delta`` bounds ``||D s||_inf``. Its
@@ -61,11 +66,8 @@ class TrustRegionConfig:
     delta_max: float = 100.0
     mu: float = 0.1
     eta: float = 0.75
-    gamma1: float = 0.25
-    gamma2: float = 2.0
     iterations: int = 100
     solver: SubproblemSolver = field(default_factory=EcimConfig)
-    boundary_tol: float = 1e-9
     gtol: float | None = 1e-8
     scaling: np.ndarray | None = None
     warm_start: bool = False
@@ -77,15 +79,9 @@ class TrustRegionConfig:
             )
         if not 0.0 < self.mu < self.eta < 1.0:
             raise ValueError(f"need 0 < mu < eta < 1, got {self.mu}, {self.eta}")
-        if not 0.0 < self.gamma1 < 1.0 < self.gamma2:
-            raise ValueError(
-                f"need 0 < gamma1 < 1 < gamma2, got {self.gamma1}, {self.gamma2}"
-            )
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.boundary_tol < 0.0:
-            raise ValueError(f"boundary_tol must be >= 0, got {self.boundary_tol}")
-        if self.gtol is not None and self.gtol < 0.0:
+        if self.gtol is not None and not self.gtol >= 0.0:
             raise ValueError(f"gtol must be >= 0 or None, got {self.gtol}")
         if self.scaling is not None:
             d = np.array(self.scaling, dtype=float)
@@ -113,10 +109,10 @@ def update_radius(
     step touched the box boundary, otherwise keep. A nan ratio (failed solve,
     degenerate or non-decreasing model step) shrinks."""
     if not rho >= config.mu:
-        return config.gamma1 * delta
-    on_boundary = abs(step_inf_norm - delta) <= config.boundary_tol * max(1.0, delta)
+        return SHRINK_FACTOR * delta
+    on_boundary = abs(step_inf_norm - delta) <= BOUNDARY_TOL * max(1.0, delta)
     if rho > 1.0 - config.mu and on_boundary:
-        return min(config.gamma2 * delta, config.delta_max)
+        return min(GROW_FACTOR * delta, config.delta_max)
     return delta
 
 
@@ -177,7 +173,10 @@ class TrustRegionRecord:
     accepted: bool
     grad_norm: float
     step_inf_norm: float
-    solver_failed: bool = False
+
+    @property
+    def solver_failed(self) -> bool:
+        return self.step is None
 
 
 @dataclass
@@ -341,7 +340,6 @@ def itrust(
                 accepted=accepted,
                 grad_norm=grad_norm,
                 step_inf_norm=step_inf,
-                solver_failed=step is None,
             )
         )
         delta = max(update_radius(rho, delta, step_inf, config), _DELTA_FLOOR)

@@ -52,6 +52,9 @@ def test_fit_rate_drops_floor_values_and_complains_when_starved():
     gaps = np.array([1e-1, 1e-2, 0.0, 1e-16])  # two unusable points
     with pytest.raises(InsufficientDataError):
         fit_rate(ks, gaps)
+    # Four usable points at one horizon fit no slope.
+    with pytest.raises(InsufficientDataError, match="distinct"):
+        fit_rate([1000] * 4, [0.1, 0.09, 0.11, 0.1])
 
 
 def test_fit_linear_decay_recovers_geometric_rate():
@@ -215,6 +218,14 @@ def test_config_file_fills_defaults_and_flags_win(tmp_path):
     assert payload["iterations"] <= 2
     assert payload["converged"] is False
 
+    # An abbreviated flag wins too: --cou is --count.
+    cfg.write_text("count = 2\nK = 300\n")
+    argv = ["compare-oracles", "--config", str(cfg), "--cou", "1", "--format", "json"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    payload = json.loads((out / "compare-oracles.json").read_text())
+    assert payload["config"]["count"] == 1 and payload["config"]["K"] == 300
+    assert payload["summary"]["rows"] == 1
+
 
 def test_config_file_supplies_problem(tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -282,9 +293,17 @@ def test_jobs_option_is_gone(tmp_path):
 
 
 def test_out_of_range_option_is_usage_error(tmp_path, capsys):
-    rc = main(["solve", "--problem", "quad2", "--delta0", "0", "--out", str(tmp_path)])
-    assert rc == EXIT_USAGE
-    assert "usage error" in capsys.readouterr().err
+    grid = ["--problem", "illscaled", "--use-scaling", "--solver", "grid"]
+    for extra in (
+        ["--problem", "quad2", "--delta0", "0"],
+        ["--problem", "quad2", "--sigma2", "nan"],
+        ["--problem", "quad2", "--gtol", "nan"],
+        # Once the radius grows to 4, the lattice has 161^4 points: past the cap.
+        [*grid, "--resolution", "0.05"],
+    ):
+        rc = main(["solve", *extra, "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE, extra
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_csv_writer_cell_formats(tmp_path):
@@ -395,21 +414,16 @@ def test_rate_fit_fixed_schedule(tmp_path, capsys):
 
 
 def test_rate_fit_starved_of_data_is_usage_error(tmp_path, capsys):
-    rc = main(
-        [
-            "rate-fit",
-            "--schedule",
-            "fixed-horizon",
-            "--seeds",
-            "0",
-            "--ks",
-            "40,80,160",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert rc == EXIT_USAGE
-    assert "insufficient data" in capsys.readouterr().err
+    # Three horizons, and four copies of one horizon.
+    for extra in (
+        ["--seeds", "0", "--ks", "40,80,160"],
+        ["--seeds", "0-1", "--ks", "1000,1000,1000,1000"],
+    ):
+        rc = main(
+            ["rate-fit", "--schedule", "fixed-horizon", *extra, "--out", str(tmp_path)]
+        )
+        assert rc == EXIT_USAGE, extra
+        assert "insufficient data" in capsys.readouterr().err
 
 
 def test_compare_oracles_small_run(tmp_path, capsys):

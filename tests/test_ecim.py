@@ -101,8 +101,9 @@ def test_config_validation():
         EcimConfig(schedule="warmup")
     with pytest.raises(ValueError):
         EcimConfig(beta0=0.0)
-    with pytest.raises(ValueError):
-        EcimConfig(sigma2=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma2"):
+            EcimConfig(sigma2=bad)
     with pytest.raises(ValueError):
         EcimConfig(iterations=0)
 

@@ -1,10 +1,13 @@
-"""No module of the package keeps an import or a top-level name it does not use.
+"""No module of the package keeps an import, a top-level name or a default
+it does not use.
 
 No linter is a test dependency, so these are plain ``ast`` checks: every
 module-level import in ``src/itrust`` (``__init__.py``, which re-exports, and
-``__future__`` aside) must be named somewhere in its module, and every
+``__future__`` aside) must be named somewhere in its module, every
 module-level function, class and assigned name must be read somewhere in the
-package or be exported through ``itrust.__all__``.
+package or be exported through ``itrust.__all__``, and every parameter or
+dataclass field with a default must be passed by some call in the package or
+the benchmark. A default that no such call overrides is a constant.
 """
 
 from __future__ import annotations
@@ -12,7 +15,12 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "itrust"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "itrust"
+BENCH = ROOT / "bench"
+
+# The console-script entry point: its caller is the installed script.
+_ENTRY_POINTS = {("main", "argv")}
 
 
 def test_package_modules_have_no_unused_imports():
@@ -83,3 +91,92 @@ def find_dead_names(src: Path) -> list[str]:
 def test_package_has_no_dead_module_level_names():
     dead = find_dead_names(SRC)
     assert not dead, f"unreferenced module-level names: {dead}"
+
+
+def _defaults(tree: ast.Module):
+    """``(callee, parameter, position, line)`` for every parameter or
+    dataclass field with a default. A method's callee is its name, and
+    ``__init__``'s is its class; position is None for keyword-only
+    parameters."""
+    found = []
+
+    def from_function(node, callee, skip_self):
+        a = node.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        for i in range(first, len(positional)):
+            pos = i - 1 if skip_self else i
+            found.append((callee, positional[i].arg, pos, node.lineno))
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                found.append((callee, arg.arg, None, node.lineno))
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            from_function(node, node.name, False)
+        elif isinstance(node, ast.ClassDef):
+            is_dataclass = any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                == "dataclass"
+                for d in node.decorator_list
+            )
+            fields = [
+                n for n in node.body
+                if is_dataclass and isinstance(n, ast.AnnAssign)
+            ]
+            for i, n in enumerate(fields):
+                if n.value is not None:
+                    found.append((node.name, n.target.id, i, n.lineno))
+            for n in node.body:
+                if isinstance(n, ast.FunctionDef):
+                    callee = node.name if n.name == "__init__" else n.name
+                    from_function(n, callee, True)
+    return found
+
+
+def _calls(tree: ast.Module) -> dict[str, list[tuple[int, set[str]]]]:
+    """Per callee name, each call's positional count and keyword names. A
+    ``*args`` counts as every position and a ``**kwargs`` as every keyword
+    (``"**"``)."""
+    calls: dict[str, list[tuple[int, set[str]]]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        n_pos = 10**9 if starred else len(node.args)
+        keywords = {k.arg or "**" for k in node.keywords}
+        calls.setdefault(name, []).append((n_pos, keywords))
+    return calls
+
+
+def find_unpassed_defaults(src: Path, *callers: Path) -> list[str]:
+    """``module:callee.parameter (line)`` for every default in ``src`` that no
+    call in ``src`` or the ``callers`` directories passes."""
+    calls: dict[str, list[tuple[int, set[str]]]] = {}
+    for directory in (src, *callers):
+        for path in sorted(directory.glob("*.py")):
+            for name, found in _calls(ast.parse(path.read_text(), str(path))).items():
+                calls.setdefault(name, []).extend(found)
+    unpassed = []
+    for path in sorted(src.glob("*.py")):
+        for callee, param, pos, line in _defaults(ast.parse(path.read_text())):
+            if (callee, param) in _ENTRY_POINTS:
+                continue
+            passed = any(
+                param in keywords
+                or "**" in keywords
+                or (pos is not None and pos < n_pos)
+                for n_pos, keywords in calls.get(callee, [])
+            )
+            if not passed:
+                unpassed.append(f"{path.name}:{callee}.{param} (line {line})")
+    return unpassed
+
+
+def test_every_default_is_passed_by_some_caller():
+    unpassed = find_unpassed_defaults(SRC, BENCH)
+    assert not unpassed, f"defaults no call in src/itrust or bench/ passes: {unpassed}"

@@ -200,7 +200,7 @@ def test_objective_shape_checks():
 def test_build_subproblem_uses_local_derivatives():
     obj = quadratic_objective()
     theta = np.array([0.5, -0.5])
-    model = build_subproblem(obj, theta, delta=0.25)
+    model = build_subproblem(obj, theta, 0.25, obj.gradient(theta))
     assert model.delta == 0.25
     assert np.allclose(model.coupling, obj.hessian(theta), atol=0.0)
     assert np.allclose(model.field, obj.gradient(theta), atol=0.0)

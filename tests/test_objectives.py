@@ -218,7 +218,6 @@ def test_constants_diagonal_quadratic():
     model = QuadraticModel(np.diag([1.0, 4.0]), np.zeros(2), delta=1.0)
     est = estimate_constants(model)
     assert est.L == pytest.approx(4.0, abs=0.0)
-    assert est.mu == pytest.approx(1.0, abs=0.0)
 
 
 def test_gradient_bound_identity_model():
@@ -237,11 +236,6 @@ def test_gradient_bound_dominates_box_samples():
         samples = rng.uniform(-model.delta, model.delta, size=(500, 3))
         norms = np.linalg.norm(samples @ S + model.field, axis=1)
         assert est.G >= float(norms.max()) - 1e-12
-
-
-def test_mu_not_reported_for_indefinite():
-    model = random_box_quadratic(3, seed=1, kind="indefinite")
-    assert estimate_constants(model).mu is None
 
 
 def test_estimate_mu_p_on_planted_instance():

@@ -26,7 +26,6 @@ def test_grid_one_dimensional_boundary_minimum():
     sol = grid_minimize_box(model, resolution=0.1)
     assert np.allclose(sol.s_star, [-0.5], atol=1e-12)
     assert sol.value == pytest.approx(-0.375, abs=1e-12)
-    assert sol.method == "grid"
 
 
 def test_grid_interior_minimum_on_lattice():
@@ -81,6 +80,10 @@ def test_grid_dimension_cap():
     model = QuadraticModel(np.eye(GRID_MAX_DIM + 1), np.zeros(GRID_MAX_DIM + 1), 1.0)
     with pytest.raises(OracleCapabilityError):
         grid_minimize_box(model, resolution=0.5)
+    # A lattice past the point cap is refused before any scan: 4001^4 points.
+    model = QuadraticModel(np.eye(GRID_MAX_DIM), np.zeros(GRID_MAX_DIM), 100.0)
+    with pytest.raises(OracleCapabilityError, match="points"):
+        grid_minimize_box(model, resolution=0.05)
 
 
 def test_grid_rejects_bad_resolution():
@@ -108,7 +111,6 @@ def test_ball_interior_newton_step():
     assert np.allclose(sol.s_star, [-1.0, 0.0], atol=1e-12)
     assert sol.value == pytest.approx(-0.5, abs=1e-12)
     assert sol.multiplier == 0.0
-    assert sol.method == "exact-ball"
 
 
 def test_ball_boundary_solution():
