@@ -44,7 +44,6 @@ from .trust_region import (
     TrustRegionRecord,
     TrustRegionTrace,
     itrust,
-    reduction_ratio,
     solve_subproblem,
     update_radius,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "problem_suite",
     "project_box",
     "random_box_quadratic",
-    "reduction_ratio",
     "run_ecim",
     "solve_subproblem",
     "step_sizes",

@@ -74,8 +74,8 @@ class RateFit:
 
 
 def fit_linear_decay(iterations, gaps) -> RateFit:
-    """Fit log(gap) against the raw iteration count (geometric decay check),
-    dropping gaps at or below ``GAP_FLOOR``.
+    """Fit log(gap) against x, dropping gaps at or below ``GAP_FLOOR``: x is
+    the iteration count for a geometric decay, log(K) for a power law.
 
     Raises
     ------
@@ -102,11 +102,6 @@ def fit_linear_decay(iterations, gaps) -> RateFit:
         r_squared=r2,
         n_points=int(x.size),
     )
-
-
-def fit_rate(horizons, gaps) -> RateFit:
-    """Fit log(gap) against log(K); see ``fit_linear_decay``."""
-    return fit_linear_decay(np.log(np.asarray(horizons, dtype=float)), gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +403,10 @@ def _verify_cell(options: dict, seed: int) -> list[dict]:
 def cmd_verify_bounds(options: dict) -> int:
     if options["n"] > 3:
         raise ValueError("verify-bounds supports n <= 3 (grid oracle range)")
+    if options["K"] < 1000:
+        raise ValueError(
+            f"verify-bounds needs K >= 1000 to reach every check, got {options['K']}"
+        )
     seeds = options["seeds"]
     rows = [row for seed in seeds for row in _verify_cell(options, seed)]
     rows.sort(key=lambda r: (r["check"], r["instance"], r["seed"], r["K"]))
@@ -455,7 +454,7 @@ def _rate_cell(options: dict, seed: int) -> tuple[dict, list[float]]:
             )
             trace = run_ecim(model, cfg)
             gaps.append(float(np.mean(trace.energies[K // 2 :])) - ref.value)
-        fit = fit_rate(ks, gaps)
+        fit = fit_linear_decay(np.log(ks), gaps)
         (lo, hi), r2_min = SUBLINEAR_SLOPE_BAND, 0.0
         passed = lo <= fit.slope <= hi
         instance = f"singular-n{n}"
@@ -525,7 +524,7 @@ def cmd_rate_fit(options: dict) -> int:
             else math.nan
             for i in range(len(ks))
         ]
-        pooled_fit = fit_rate(ks, pooled)
+        pooled_fit = fit_linear_decay(np.log(ks), pooled)
         lo, hi = SUBLINEAR_SLOPE_BAND
         verdict = lo <= pooled_fit.slope <= hi
         pooled_summary = {
@@ -570,9 +569,7 @@ def _compare_cell(options: dict, index: int) -> dict:
     # beta0 = None resolves to 1/L in step_sizes.
     cfg = EcimConfig(schedule="fixed", iterations=options["K"], seed=seed)
     trace = run_ecim(model, cfg)
-    ball = exact_ball_minimize(
-        model.field, model.symmetric_coupling(), model.delta
-    )
+    ball = exact_ball_minimize(model)
     grid = _grid_reference(model)
 
     ecim_value = trace.best_energy

@@ -65,8 +65,8 @@ class EcimConfig:
             raise ValueError(
                 f"schedule must be one of {SCHEDULES}, got {self.schedule!r}"
             )
-        if self.beta0 is not None and not self.beta0 > 0.0:
-            raise ValueError(f"beta0 must be positive, got {self.beta0}")
+        if self.beta0 is not None and not 0.0 < self.beta0 < math.inf:
+            raise ValueError(f"beta0 must be positive and finite, got {self.beta0}")
         if not 0.0 <= self.sigma2 < math.inf:
             raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if self.iterations < 1:
@@ -99,23 +99,30 @@ class EcimTrace:
     """Complete record of one machine run.
 
     ``iterates`` holds s(0..K) row-wise, ``energies`` the matching energy
-    values, ``betas`` and ``gm_norms`` the K per-step step sizes and
-    gradient-mapping norms. ``averaged_iterate_at(k)`` is the beta-weighted
-    mean of s(0..k-1). ``stop_index`` is the step after which the trace
-    repeats: K, or fewer when a noise-free run reached an exact fixed point
-    at step ``stop_index - 1``, and the remaining rows repeat that point.
-    Steps are computed by the block, so a run may have computed a few steps
-    past it. It is not written to trace files.
+    values and ``betas`` the K per-step step sizes; ``gm_norms`` derives the
+    K gradient-mapping norms from them. ``averaged_iterate_at(k)`` is the
+    beta-weighted mean of s(0..k-1). ``stop_index`` is the step after which
+    the trace repeats: K, or fewer when a noise-free run reached an exact
+    fixed point at step ``stop_index - 1``, and the remaining rows repeat
+    that point. Steps are computed by the block, so a run may have computed
+    a few steps past it. It is not written to trace files.
     """
 
     iterates: np.ndarray
     energies: np.ndarray
     betas: np.ndarray
-    gm_norms: np.ndarray
     best_index: int
     best_energy: float
     best_iterate: np.ndarray
     stop_index: int
+
+    @property
+    def gm_norms(self) -> np.ndarray:
+        """Norms of the gradient mappings ``(s(k) - s(k+1)) / beta_k``,
+        computed on each read with one (K, n) temporary."""
+        d = self.iterates[:-1] - self.iterates[1:]
+        d /= self.betas[:, None]
+        return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])).reshape(len(d))
 
     def averaged_iterate_at(self, k: int) -> np.ndarray:
         """Beta-weighted mean of s(0..k-1), the averaged output at horizon k."""
@@ -149,12 +156,11 @@ def run_ecim(
     """Run the machine for ``config.iterations`` steps and trace everything.
 
     Steps are computed in blocks of up to ``BLOCK_STEPS``: a Python loop runs
-    only the recurrence, and the energies, gradient-mapping norms and
-    stopping tests of a block are then computed together. A noise-free run
-    stops after the block in which it reaches an exact fixed point and fills
-    the rest of the trace with it (see ``EcimTrace.stop_index``). The trace
-    is bit for bit the same as with every step computed and checked one at a
-    time.
+    only the recurrence, and the energies and stopping tests of a block are
+    then computed together. A noise-free run stops after the block in which
+    it reaches an exact fixed point and fills the rest of the trace with it
+    (see ``EcimTrace.stop_index``). The trace is bit for bit the same as with
+    every step computed and checked one at a time.
 
     Parameters
     ----------
@@ -193,7 +199,6 @@ def run_ecim(
     h = model.field
     iterates = np.empty((K + 1, n))
     energies = np.empty(K + 1)
-    gm_norms = np.empty(K)
     iterates[0] = s
     stop_index = K
     # Per-step buffers and row views made once: at small n a step costs its
@@ -207,11 +212,11 @@ def run_ecim(
 
     # The per-step loop computes only the recurrence; each step writes s(k+1)
     # in place into its trace row, with the floating-point operations of
-    # ecim_step in tests/reference.py. Energies, gradient-mapping norms and
-    # both stopping tests are then computed for the whole block, with the same
-    # per-row dot products as a step-by-step run, so traces do not depend on
-    # the block. A block may step past a divergence before its check; those
-    # steps are discarded, and their overflow is not warned about.
+    # ecim_step in tests/reference.py. Energies and both stopping tests are
+    # then computed for the whole block, with the same per-row dot products as
+    # a step-by-step run, so traces do not depend on the block. A block may
+    # step past a divergence before its check; those steps are discarded, and
+    # their overflow is not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, K, block):
             k1 = min(k0 + block, K)
@@ -245,14 +250,11 @@ def run_ecim(
             Xm = X[:m, None, :]
             e = 0.5 * (np.matmul(Xm, grads[:m, :, None]) + np.matmul(Xm, h[:, None]))
             e = e.reshape(m)
-            d = X[:-1] - X[1:]
-            d /= betas[k0:k1, None]
-            gm = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])).reshape(k1 - k0)
 
             # Exact fixed point of a noise-free run: a step that returns its
             # input bit for bit (compared as integers, since -0.0 == 0.0).
             # Steps never grow, and rounding is monotone, so every later step
-            # reproduces it, with the same energy and a zero gradient mapping.
+            # reproduces it, with the same energy.
             fixed = None
             if sigma == 0.0:
                 bits = X.view(np.int64)
@@ -265,12 +267,10 @@ def run_ecim(
                 j = int(np.argmax(out_of_range))
                 raise DivergenceError(k0 + j, e[j])
             energies[k0 : k0 + len(e)] = e
-            gm_norms[k0:k1] = gm
             if fixed is not None:
                 k = k0 + fixed
                 iterates[k + 2 :] = iterates[k]
                 energies[k + 1 :] = energies[k]
-                gm_norms[k + 1 :] = 0.0
                 stop_index = k + 1
                 break
 
@@ -279,7 +279,6 @@ def run_ecim(
         iterates=iterates,
         energies=energies,
         betas=betas,
-        gm_norms=gm_norms,
         best_index=best_index,
         best_energy=float(energies[best_index]),
         best_iterate=iterates[best_index].copy(),

@@ -330,7 +330,7 @@ def estimate_mu_p(trace, e_star: float) -> float | None:
     excluding iterates whose gap is below ``MU_P_GAP_FLOOR``. Returns None
     when every iterate is excluded.
     """
-    gaps = trace.energies[: len(trace.gm_norms)] - e_star
+    gaps = trace.energies[:-1] - e_star
     keep = gaps >= MU_P_GAP_FLOOR
     if not np.any(keep):
         return None

@@ -134,15 +134,17 @@ def grid_minimize_box(
     return OracleSolution(s_star=best_point, value=best_val, resolution=spacing)
 
 
-def exact_ball_minimize(g: np.ndarray, H: np.ndarray, delta: float) -> OracleSolution:
+def exact_ball_minimize(model: QuadraticModel) -> OracleSolution:
     """Exact minimizer of ``<g, p> + 0.5 <p, H p>`` over ``||p||_2 <= delta``.
 
-    Takes the full Newton step when the Hessian is positive semidefinite and
-    the step fits in the ball. Otherwise finds the multiplier ``lam >=
-    max(0, -lam_min)`` with ``||(H + lam I)^-1 g|| = delta`` by safeguarded
-    bisection; when the gradient has no component on the minimal eigenspace
-    and the residual norm stays below delta there, the solution is completed
-    with a minimal eigenvector (the hard case).
+    ``g``, ``H`` and ``delta`` are the model's field, symmetric coupling and
+    half-width, so the ball is inscribed in the model's box. Takes the full
+    Newton step when H is positive semidefinite and the step fits in the
+    ball. Otherwise finds the multiplier ``lam >= max(0, -lam_min)`` with
+    ``||(H + lam I)^-1 g|| = delta`` by safeguarded bisection; when the
+    gradient has no component on the minimal eigenspace and the residual
+    norm stays below delta there, the solution is completed with a minimal
+    eigenvector (the hard case).
 
     Raises
     ------
@@ -150,14 +152,10 @@ def exact_ball_minimize(g: np.ndarray, H: np.ndarray, delta: float) -> OracleSol
         If the bisection fails to bracket the multiplier to relative
         tolerance 1e-12 within ``_BALL_MAX_ITER`` iterations.
     """
-    g = np.asarray(g, dtype=float)
-    H = np.asarray(H, dtype=float)
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    g = model.field
+    H = model.symmetric_coupling()
+    delta = model.delta
     scale = max(1.0, float(np.max(np.abs(H))))
-    if np.max(np.abs(H - H.T)) > 1e-8 * scale:
-        raise ValueError("H must be symmetric")
-    H = 0.5 * (H + H.T)
 
     w, Q = np.linalg.eigh(H)
     gt = Q.T @ g

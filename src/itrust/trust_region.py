@@ -93,15 +93,6 @@ class TrustRegionConfig:
             object.__setattr__(self, "scaling", d)
 
 
-def reduction_ratio(f_current: float, f_trial: float, model_value: float) -> float:
-    """Realized over predicted reduction ``(f_trial - f_current) / m``.
-
-    The ratio is undefined for ``|model_value| < DEGENERATE_MODEL_TOL``;
-    ``itrust`` rejects such steps before calling this.
-    """
-    return (f_trial - f_current) / model_value
-
-
 def update_radius(
     rho: float, delta: float, step_inf_norm: float, config: TrustRegionConfig
 ) -> float:
@@ -146,11 +137,9 @@ def solve_subproblem(
         trace = run_ecim(work, replace(solver, seed=seed), s0=s0)
         u = trace.best_iterate
     elif isinstance(solver, ExactBallSolver):
-        sol = exact_ball_minimize(work.field, work.symmetric_coupling(), work.delta)
-        u = sol.s_star
+        u = exact_ball_minimize(work).s_star
     elif isinstance(solver, GridSolver):
-        sol = grid_minimize_box(work, solver.resolution)
-        u = sol.s_star
+        u = grid_minimize_box(work, solver.resolution).s_star
     else:
         raise TypeError(f"unknown solver spec {solver!r}")
     step = u if scaling is None else u / scaling
@@ -301,11 +290,12 @@ def itrust(
         if config.warm_start and previous_step is not None:
             s0 = previous_step if scaling is None else scaling * previous_step
 
-        # A failed solve, or a predicted reduction that is non-negative or
-        # degenerate, leaves rho nan, and a non-finite trial value sets it to
-        # -inf: the step is rejected and the radius shrinks. The trial value
-        # is evaluated once, and only for a predicted decrease; on acceptance
-        # it becomes the current value.
+        # rho is the realized over the predicted reduction. A failed solve, or
+        # a predicted reduction that is non-negative or degenerate, leaves rho
+        # nan, and a non-finite trial value sets it to -inf: the step is
+        # rejected and the radius shrinks. The trial value is evaluated once,
+        # and only for a predicted decrease; on acceptance it becomes the
+        # current value.
         rho = math.nan
         try:
             step, mval = solve_subproblem(
@@ -321,11 +311,7 @@ def itrust(
             if not (mval >= 0.0 or abs(mval) < DEGENERATE_MODEL_TOL):
                 trial = theta + step
                 f_trial = objective.value(trial)
-                rho = (
-                    reduction_ratio(f_cur, f_trial, mval)
-                    if math.isfinite(f_trial)
-                    else -math.inf
-                )
+                rho = (f_trial - f_cur) / mval if math.isfinite(f_trial) else -math.inf
 
         accepted = rho > config.eta
         records.append(

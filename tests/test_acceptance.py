@@ -354,9 +354,7 @@ def test_criterion_08_machine_dominates_ball_oracle():
                 seed=i,
             ),
         )
-        ball = exact_ball_minimize(
-            model.field, model.symmetric_coupling(), model.delta
-        )
+        ball = exact_ball_minimize(model)
         grid = grid_reference(model, resolution=0.005 if n == 2 else 0.02)
         e = trace.best_energy
         worst_ball_excess = max(worst_ball_excess, e - ball.value)

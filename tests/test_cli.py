@@ -12,17 +12,18 @@ import pytest
 
 import itrust
 from itrust.cli import (
-    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFICATION_FAILED,
+    SUBLINEAR_SLOPE_BAND,
     InsufficientDataError,
     _config_hash,
     _parse_seeds,
     fit_linear_decay,
-    fit_rate,
     main,
     read_config_file,
 )
+from itrust.trust_region import SHRINK_FACTOR
 from itrust.writers import write_csv
 
 
@@ -41,7 +42,7 @@ def test_parse_seeds():
 def test_fit_rate_recovers_power_law():
     ks = np.array([100, 1000, 10000, 100000], dtype=float)
     gaps = 3.0 * ks**-0.5
-    fit = fit_rate(ks, gaps)
+    fit = fit_linear_decay(np.log(ks), gaps)
     assert fit.slope == pytest.approx(-0.5, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.n_points == 4
@@ -51,10 +52,10 @@ def test_fit_rate_drops_floor_values_and_complains_when_starved():
     ks = np.array([10, 100, 1000, 10000])
     gaps = np.array([1e-1, 1e-2, 0.0, 1e-16])  # two unusable points
     with pytest.raises(InsufficientDataError):
-        fit_rate(ks, gaps)
+        fit_linear_decay(np.log(ks), gaps)
     # Four usable points at one horizon fit no slope.
     with pytest.raises(InsufficientDataError, match="distinct"):
-        fit_rate([1000] * 4, [0.1, 0.09, 0.11, 0.1])
+        fit_linear_decay(np.log([1000] * 4), [0.1, 0.09, 0.11, 0.1])
 
 
 def test_fit_linear_decay_recovers_geometric_rate():
@@ -170,9 +171,10 @@ def test_solve_exact_ball_backend(tmp_path):
     assert payload["converged"] is True
 
 
-def test_solve_divergent_machine_is_numerical_error(tmp_path, capsys):
-    # A huge fixed step on an expanding radius blows up every subproblem and
-    # the radius floor keeps the loop from recovering within the budget.
+def test_solve_divergent_machine_fails_every_iteration_and_shrinks(tmp_path):
+    # A huge fixed step on a huge radius blows up every subproblem. Each
+    # diverged solve is a failed, rejected iteration that shrinks the radius;
+    # the run itself completes and reports through its trace and summary.
     rc = main(
         [
             "solve",
@@ -196,13 +198,18 @@ def test_solve_divergent_machine_is_numerical_error(tmp_path, capsys):
             str(tmp_path),
         ]
     )
-    # All iterations fail; the run itself still completes with a warning, so
-    # the command reports failure through the summary rather than a crash.
-    assert rc in (EXIT_OK, EXIT_NUMERICAL)
+    assert rc == EXIT_OK
     payload = json.loads(
         (tmp_path / "solve-quad2-ecim-seed0.summary.json").read_text()
     )
     assert payload["converged"] is False
+    trace = (tmp_path / "solve-quad2-ecim-seed0.trace.csv").read_text()
+    rows = [line.split(",") for line in trace.splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(row[-1] == "1" and row[-2] == "0" for row in rows)
+    deltas = [float(row[1]) for row in rows]
+    assert deltas[0] == 1e9
+    assert deltas[1:] == [SHRINK_FACTOR * d for d in deltas[:-1]]
 
 
 def test_config_file_fills_defaults_and_flags_win(tmp_path):
@@ -279,7 +286,7 @@ def test_config_file_flag_matches_command_line_flag(tmp_path):
 
 def test_config_file_skips_keys_of_other_subcommands(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("problem = quad5\nseeds = 0\nK = 300\nn = 1\n")
+    cfg.write_text("problem = quad5\nseeds = 0\nK = 1000\nn = 1\n")
     rc = main(["verify-bounds", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == EXIT_OK
     rows = (tmp_path / "verify-bounds-n1.csv").read_text().splitlines()
@@ -297,6 +304,7 @@ def test_out_of_range_option_is_usage_error(tmp_path, capsys):
     for extra in (
         ["--problem", "quad2", "--delta0", "0"],
         ["--problem", "quad2", "--sigma2", "nan"],
+        ["--problem", "quad2", "--beta0", "inf"],
         ["--problem", "quad2", "--gtol", "nan"],
         # Once the radius grows to 4, the lattice has 161^4 points: past the cap.
         [*grid, "--resolution", "0.05"],
@@ -352,6 +360,17 @@ def test_verify_bounds_rejects_large_dimension(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: verify-bounds supports n <= 3")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extra", [["--K", "999"], ["--K", "5"], ["--beta0", "inf"]])
+def test_verify_bounds_option_that_voids_checks_is_usage_error(tmp_path, capsys, extra):
+    # Below K = 1000 the averaged-decay check, and below 10 the fixed-step
+    # check, has no horizon; an infinite step makes the fixed-step bound inf.
+    out = tmp_path / "reports"
+    rc = main(["verify-bounds", "--n", "2", "--seeds", "0", *extra, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -413,6 +432,19 @@ def test_rate_fit_fixed_schedule(tmp_path, capsys):
     assert "slope" in out
 
 
+def test_rate_fit_fixed_horizon_pooled_verdict(tmp_path, capsys):
+    argv = ["rate-fit", "--schedule", "fixed-horizon", "--seeds", "0-1"]
+    argv += ["--ks", "1000,3162,10000,31623", "--sigma2", "0.01", "--format", "json"]
+    rc = main([*argv, "--out", str(tmp_path)])
+    payload = json.loads((tmp_path / "rate-fit-fixed-horizon-n2.json").read_text())
+    summary = payload["summary"]
+    assert rc == (EXIT_OK if summary["verdict_passed"] else EXIT_VERIFICATION_FAILED)
+    lo, hi = SUBLINEAR_SLOPE_BAND
+    assert lo <= summary["pooled_slope"] <= hi
+    assert [row["seed"] for row in payload["rows"]] == [0, 1]
+    assert "pooled slope" in capsys.readouterr().out
+
+
 def test_rate_fit_starved_of_data_is_usage_error(tmp_path, capsys):
     # Three horizons, and four copies of one horizon.
     for extra in (
@@ -466,7 +498,7 @@ def test_compare_oracles_outside_grid_range_is_usage_error(tmp_path, capsys):
 def test_campaign_report_columns(tmp_path):
     campaigns = {
         "verify-bounds-n1.csv": (
-            ["verify-bounds", "--n", "1", "--seeds", "0", "--K", "100"],
+            ["verify-bounds", "--n", "1", "--seeds", "0", "--K", "1000"],
             "check,instance,seed,K,observed,bound,passed,config_hash",
         ),
         "rate-fit-fixed-n2.csv": (

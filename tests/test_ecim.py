@@ -99,8 +99,9 @@ def test_step_sizes_decreasing():
 def test_config_validation():
     with pytest.raises(ValueError):
         EcimConfig(schedule="warmup")
-    with pytest.raises(ValueError):
-        EcimConfig(beta0=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta0"):
+            EcimConfig(beta0=bad)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="sigma2"):
             EcimConfig(sigma2=bad)
@@ -286,9 +287,10 @@ def test_trace_csv_is_deterministic(tmp_path):
 # run_ecim against a step-by-step reference
 
 
-def _reference_run(model, config, s0=None) -> EcimTrace:
+def _reference_run(model, config, s0=None) -> tuple[EcimTrace, np.ndarray]:
     """The machine's definition: ecim_step on every one of the K steps, with
-    the whole (K, n) noise block drawn at once."""
+    the whole (K, n) noise block drawn at once. Returns the trace and the
+    norms of its gradient mappings."""
     rng = np.random.default_rng(config.seed)
     n, K, delta = model.dim, config.iterations, model.delta
     s = rng.uniform(-delta, delta, n) if s0 is None else project_box(s0, delta)
@@ -316,22 +318,27 @@ def _reference_run(model, config, s0=None) -> EcimTrace:
         ]
     )
     best = int(np.argmin(energies))
-    return EcimTrace(
+    trace = EcimTrace(
         iterates=iterates,
         energies=energies,
         betas=betas,
-        gm_norms=gm_norms,
         best_index=best,
         best_energy=float(energies[best]),
         best_iterate=iterates[best].copy(),
         stop_index=K,
     )
+    return trace, gm_norms
 
 
-def _assert_bit_identical(trace: EcimTrace, ref: EcimTrace) -> None:
-    for name in ("iterates", "energies", "betas", "gm_norms", "best_iterate"):
+def _assert_bit_identical(
+    trace: EcimTrace, ref: EcimTrace, ref_gm_norms: np.ndarray
+) -> None:
+    for name in ("iterates", "energies", "betas", "best_iterate"):
         a, b = getattr(trace, name), getattr(ref, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    gm_norms = trace.gm_norms
+    assert gm_norms.shape == ref_gm_norms.shape
+    assert gm_norms.tobytes() == ref_gm_norms.tobytes()
     K = len(ref.betas)
     averaged = (ref.betas @ ref.iterates[:K]) / np.sum(ref.betas)
     assert trace.averaged_iterate_at(K).tobytes() == averaged.tobytes()
@@ -359,7 +366,7 @@ def test_run_matches_step_by_step_reference(schedule):
             modulate_noise=modulate,
         )
         trace = run_ecim(model, config)
-        _assert_bit_identical(trace, _reference_run(model, config))
+        _assert_bit_identical(trace, *_reference_run(model, config))
         if sigma2 > 0.0:
             assert trace.stop_index == K
 
@@ -374,7 +381,7 @@ def test_fixed_point_stop_matches_reference(schedule):
     assert 1 <= trace.stop_index < 100
     assert np.all(trace.iterates[trace.stop_index :] == 0.5)
     assert np.all(trace.gm_norms[trace.stop_index - 1 :] == 0.0)
-    _assert_bit_identical(trace, _reference_run(model, config))
+    _assert_bit_identical(trace, *_reference_run(model, config))
 
 
 @pytest.mark.parametrize("offset", [1, 0])
@@ -388,7 +395,7 @@ def test_fixed_point_at_block_edge_matches_reference(offset):
     s0 = np.array([-0.5 + offset / BLOCK_STEPS, 0.25])
     trace = run_ecim(model, config, s0)
     assert trace.stop_index == BLOCK_STEPS + 1 - offset
-    _assert_bit_identical(trace, _reference_run(model, config, s0))
+    _assert_bit_identical(trace, *_reference_run(model, config, s0))
 
 
 @pytest.mark.parametrize("modulate", [False, True])
@@ -407,7 +414,7 @@ def test_chunked_noise_matches_single_draw(modulate):
         seed=12,
         modulate_noise=modulate,
     )
-    _assert_bit_identical(run_ecim(model, config), _reference_run(model, config))
+    _assert_bit_identical(run_ecim(model, config), *_reference_run(model, config))
 
 
 @pytest.mark.filterwarnings("error")

@@ -106,8 +106,13 @@ def test_grid_beats_random_sampling():
 # Exact ball oracle
 
 
+def solve_ball(g, H, delta):
+    """Exact ball solve of the model with field g, coupling H and radius delta."""
+    return exact_ball_minimize(QuadraticModel(H, g, delta))
+
+
 def test_ball_interior_newton_step():
-    sol = exact_ball_minimize(np.array([1.0, 0.0]), np.eye(2), delta=2.0)
+    sol = solve_ball(np.array([1.0, 0.0]), np.eye(2), delta=2.0)
     assert np.allclose(sol.s_star, [-1.0, 0.0], atol=1e-12)
     assert sol.value == pytest.approx(-0.5, abs=1e-12)
     assert sol.multiplier == 0.0
@@ -115,7 +120,7 @@ def test_ball_interior_newton_step():
 
 def test_ball_boundary_solution():
     # Newton step (-2, 0) leaves the unit ball; lam = 1 puts it on the sphere.
-    sol = exact_ball_minimize(np.array([2.0, 0.0]), np.eye(2), delta=1.0)
+    sol = solve_ball(np.array([2.0, 0.0]), np.eye(2), delta=1.0)
     assert np.allclose(sol.s_star, [-1.0, 0.0], atol=1e-9)
     assert sol.value == pytest.approx(-1.5, abs=1e-9)
     assert sol.multiplier == pytest.approx(1.0, abs=1e-9)
@@ -124,7 +129,7 @@ def test_ball_boundary_solution():
 def test_ball_anisotropic_interior():
     H = np.diag([2.0, 8.0])
     g = np.array([-1.0, 2.0])
-    sol = exact_ball_minimize(g, H, delta=10.0)
+    sol = solve_ball(g, H, delta=10.0)
     assert np.allclose(sol.s_star, [0.5, -0.25], atol=1e-12)
     assert sol.value == pytest.approx(-0.5, abs=1e-12)
 
@@ -132,7 +137,7 @@ def test_ball_anisotropic_interior():
 def test_ball_indefinite_regular_case():
     # lam solves 0.1 / (lam - 1) = 1, so lam = 1.1 and p = (-1, 0).
     H = np.diag([-1.0, 1.0])
-    sol = exact_ball_minimize(np.array([0.1, 0.0]), H, delta=1.0)
+    sol = solve_ball(np.array([0.1, 0.0]), H, delta=1.0)
     assert np.allclose(sol.s_star, [-1.0, 0.0], atol=1e-9)
     assert sol.value == pytest.approx(-0.6, abs=1e-9)
     assert sol.multiplier == pytest.approx(1.1, abs=1e-9)
@@ -143,7 +148,7 @@ def test_ball_hard_case():
     # -lam_min and the step is completed with a minimal eigenvector.
     H = np.diag([-1.0, 1.0])
     g = np.array([0.0, 0.1])
-    sol = exact_ball_minimize(g, H, delta=1.0)
+    sol = solve_ball(g, H, delta=1.0)
     assert sol.multiplier == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(sol.s_star) == pytest.approx(1.0, abs=1e-12)
     assert sol.s_star[1] == pytest.approx(-0.05, abs=1e-12)
@@ -155,16 +160,24 @@ def test_ball_hard_case():
 
 def test_ball_zero_gradient_negative_curvature():
     H = np.diag([-2.0, 1.0])
-    sol = exact_ball_minimize(np.zeros(2), H, delta=0.5)
+    sol = solve_ball(np.zeros(2), H, delta=0.5)
     assert np.linalg.norm(sol.s_star) == pytest.approx(0.5, abs=1e-12)
     assert sol.value == pytest.approx(-0.25, abs=1e-12)
 
 
-def test_ball_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        exact_ball_minimize(np.zeros(2), np.eye(2), delta=0.0)
-    with pytest.raises(ValueError):
-        exact_ball_minimize(np.zeros(2), np.array([[1.0, 1.0], [0.0, 1.0]]), delta=1.0)
+def test_ball_solves_nonsymmetric_coupling_through_symmetric_part():
+    # The energy of a non-symmetric J is that of its symmetric part, so both
+    # models have one solution, bit for bit.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        J = rng.normal(size=(n, n))
+        g = rng.normal(size=n)
+        sol = solve_ball(g, J, 0.7)
+        ref = solve_ball(g, 0.5 * (J + J.T), 0.7)
+        assert sol.s_star.tobytes() == ref.s_star.tobytes()
+        assert repr(sol.value) == repr(ref.value)
+        assert repr(sol.multiplier) == repr(ref.multiplier)
 
 
 def kkt_residuals(g, H, sol, delta):
@@ -186,7 +199,7 @@ def test_ball_kkt_conditions_random_instances():
         H = 0.5 * (A + A.T)
         g = rng.normal(size=n)
         delta = float(rng.uniform(0.2, 2.0))
-        sol = exact_ball_minimize(g, H, delta)
+        sol = solve_ball(g, H, delta)
         stat, radius, curv_ok, comp = kkt_residuals(g, H, sol, delta)
         scale = max(1.0, float(np.linalg.norm(g)), float(np.max(np.abs(H))))
         assert sol.multiplier >= -1e-12, f"trial {trial}"
@@ -204,7 +217,7 @@ def test_ball_beats_random_sampling():
         H = 0.5 * (A + A.T)
         g = rng.normal(size=n)
         delta = 1.0
-        sol = exact_ball_minimize(g, H, delta)
+        sol = solve_ball(g, H, delta)
         raw = rng.normal(size=(2000, n))
         raw *= (rng.uniform(0, 1, 2000) ** (1.0 / n) / np.linalg.norm(raw, axis=1))[
             :, None
@@ -227,7 +240,7 @@ def test_oracles_agree_on_planted_interior_minimum():
         assert np.max(np.abs(s_star)) <= 0.6 * model.delta + 1e-9
         e_star = energy(model, s_star)
         if np.linalg.norm(s_star) <= model.delta:
-            ball = exact_ball_minimize(model.field, S, model.delta)
+            ball = exact_ball_minimize(model)
             assert ball.value == pytest.approx(e_star, abs=1e-10)
             assert np.allclose(ball.s_star, s_star, atol=1e-8)
         grid = grid_minimize_box(model, resolution=0.01, polish_steps=400)
@@ -239,8 +252,6 @@ def test_box_minimum_never_exceeds_ball_minimum():
     for seed in range(20):
         for kind in ("psd", "indefinite", "singular"):
             model = random_box_quadratic(2, seed=seed, kind=kind)
-            ball = exact_ball_minimize(
-                model.field, model.symmetric_coupling(), model.delta
-            )
+            ball = exact_ball_minimize(model)
             grid = grid_minimize_box(model, resolution=0.005, polish_steps=400)
             assert grid.value <= ball.value + 1e-8, f"seed {seed} kind {kind}"

@@ -1,12 +1,14 @@
-"""The documented surface: the README's library example runs and every name
-in ``itrust.__all__`` resolves."""
+"""The documented surface: the README's library example runs, its command
+lines parse, and every name in ``itrust.__all__`` resolves."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import itrust
+from itrust.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -16,6 +18,18 @@ def test_readme_library_example_runs():
     section = readme.split("## Library", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_command_lines_parse():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("itrust ")]
+    assert len(commands) >= 5
+    parser, _ = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1]
 
 
 def test_all_names_resolve():

@@ -18,7 +18,6 @@ from itrust import (
     get_problem,
     itrust,
     random_box_quadratic,
-    reduction_ratio,
     solve_subproblem,
     update_radius,
 )
@@ -72,12 +71,13 @@ def test_update_radius_boundary_tolerance_scales():
 
 
 def test_reduction_ratio_exact_for_quadratic():
+    # On a quadratic the model is the objective, so realized and predicted
+    # reductions agree.
     obj = quadratic_objective(np.diag([2.0, 8.0]), np.array([-1.0, 2.0]))
-    theta = np.array([0.3, -0.1])
-    step = np.array([0.05, 0.02])
-    model = QuadraticModel(obj.hessian(theta), obj.gradient(theta), delta=1.0)
-    rho = reduction_ratio(obj.value(theta), obj.value(theta + step), energy(model, step))
-    assert rho == pytest.approx(1.0, rel=1e-10)
+    config = TrustRegionConfig(iterations=1, solver=ExactBallSolver())
+    trace = itrust(obj, config, np.array([0.3, -0.1]))
+    assert trace.records[0].model_value < 0.0
+    assert trace.records[0].rho == pytest.approx(1.0, rel=1e-10)
 
 
 def test_config_validation():
