@@ -104,8 +104,11 @@ class EcimTrace:
     beta-weighted mean of s(0..k-1). ``stop_index`` is the step after which
     the trace repeats: K, or fewer when a noise-free run reached an exact
     fixed point at step ``stop_index - 1``, and the remaining rows repeat
-    that point. Steps are computed by the block, so a run may have computed
-    a few steps past it. It is not written to trace files.
+    that point, or when a noise-free run at a constant step reached an exact
+    2-cycle, and the remaining rows alternate rows ``stop_index - 2`` and
+    ``stop_index - 1``; their ``gm_norms`` are then not zero. Steps are
+    computed by the block, so a run may have computed a few steps past it.
+    It is not written to trace files.
     """
 
     iterates: np.ndarray
@@ -158,9 +161,12 @@ def run_ecim(
     Steps are computed in blocks of up to ``BLOCK_STEPS``: a Python loop runs
     only the recurrence, and the energies and stopping tests of a block are
     then computed together. A noise-free run stops after the block in which
-    it reaches an exact fixed point and fills the rest of the trace with it
-    (see ``EcimTrace.stop_index``). The trace is bit for bit the same as with
-    every step computed and checked one at a time.
+    it reaches an exact fixed point and fills the rest of the trace with it.
+    At a constant step (``fixed`` or ``fixed-horizon``) it also stops at an
+    exact 2-cycle, ``s(k+2) == s(k)`` bit for bit, and fills the rest of the
+    trace by alternating rows k and k+1 (see ``EcimTrace.stop_index``). The
+    trace is bit for bit the same as with every step computed and checked
+    one at a time.
 
     Parameters
     ----------
@@ -193,6 +199,7 @@ def run_ecim(
     betas = step_sizes(config, model)
     beta_list = betas.tolist()
     sigma = math.sqrt(config.sigma2)
+    constant_step = config.schedule != "decreasing"
     block = max(1, min(BLOCK_STEPS, NOISE_CHUNK_BYTES // (8 * n)))
 
     S = model.symmetric_coupling()
@@ -214,9 +221,9 @@ def run_ecim(
     # in place into its trace row, with the floating-point operations of
     # ecim_step in tests/reference.py. Energies and both stopping tests are
     # then computed for the whole block, with the same per-row dot products as
-    # a step-by-step run, so traces do not depend on the block. A block may
-    # step past a divergence before its check; those steps are discarded, and
-    # their overflow is not warned about.
+    # a step-by-step run, so traces do not depend on the block and equal rows
+    # have equal energies. A block may step past a divergence before its
+    # check; those steps are discarded, and their overflow is not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, K, block):
             k1 = min(k0 + block, K)
@@ -251,27 +258,38 @@ def run_ecim(
             e = 0.5 * (np.matmul(Xm, grads[:m, :, None]) + np.matmul(Xm, h[:, None]))
             e = e.reshape(m)
 
-            # Exact fixed point of a noise-free run: a step that returns its
-            # input bit for bit (compared as integers, since -0.0 == 0.0).
+            # Exact orbit of a noise-free run, compared as integers since
+            # -0.0 == 0.0. Period 1: a step returns its input bit for bit.
             # Steps never grow, and rounding is monotone, so every later step
-            # reproduces it, with the same energy.
-            fixed = None
+            # reproduces it. Period 2, at a constant step only: s(k+2) equals
+            # s(k); the step is then one fixed map, so rows k and k+1
+            # alternate. Either orbit lasts to the end of the block, so its
+            # last row shows whether there is one, and a fixed point rules out
+            # a 2-cycle of distinct rows. Only then is the block searched for
+            # the orbit's first row, from one row back so that a 2-cycle
+            # across the block edge is found (that row starts no fixed point,
+            # or the run would have stopped).
+            period = 0
             if sigma == 0.0:
-                bits = X.view(np.int64)
-                same = np.all(bits[1:] == bits[:-1], axis=1)
-                if same.any():
-                    fixed = int(np.argmax(same))
-                    e = e[: fixed + 1]
+                lo = k0 - 1 if constant_step and k0 > 0 else k0
+                bits = iterates[lo : k1 + 1].view(np.int64)
+                if (bits[-1] == bits[-2]).all():
+                    period = 1
+                elif constant_step and len(bits) > 2 and (bits[-1] == bits[-3]).all():
+                    period = 2
+                if period:
+                    same = np.all(bits[period:] == bits[:-period], axis=1)
+                    stop_index = lo + int(np.argmax(same)) + period
+                    e = e[: stop_index - k0]
             out_of_range = ~(np.abs(e) <= DIVERGENCE_LIMIT)
             if out_of_range.any():
                 j = int(np.argmax(out_of_range))
                 raise DivergenceError(k0 + j, e[j])
             energies[k0 : k0 + len(e)] = e
-            if fixed is not None:
-                k = k0 + fixed
-                iterates[k + 2 :] = iterates[k]
-                energies[k + 1 :] = energies[k]
-                stop_index = k + 1
+            if period:
+                for j in range(stop_index - period, stop_index):
+                    iterates[j + period :: period] = iterates[j]
+                    energies[j + period :: period] = energies[j]
                 break
 
     best_index = int(np.argmin(energies))

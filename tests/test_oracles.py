@@ -13,6 +13,7 @@ from itrust import (
     grid_minimize_box,
     random_box_quadratic,
 )
+from itrust import oracles
 from itrust.oracles import GRID_MAX_DIM
 
 
@@ -100,6 +101,52 @@ def test_grid_beats_random_sampling():
         samples = rng.uniform(-model.delta, model.delta, size=(2000, 2))
         sampled = min(energy(model, s) for s in samples)
         assert sol.value <= sampled + 1e-9, f"seed {seed}"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_result_does_not_depend_on_slab_size(n, monkeypatch):
+    # Slabs of one axis against one slab of the whole lattice: the same scan
+    # order, strict < between slabs and argmin within one give the same
+    # lexicographically first minimum, with the same energy bits.
+    rng = np.random.default_rng(n)
+    flat = np.zeros((n, n))
+    ties = np.where(np.arange(n) % 2 == 0, 0.0, -1.0)
+    models = [
+        random_box_quadratic(n, 40 + n, kind="indefinite"),
+        QuadraticModel(rng.normal(size=(n, n)), rng.normal(size=n), delta=0.7),
+        # Ties: every zero field entry leaves a whole axis of lattice minima.
+        QuadraticModel(flat, ties, delta=0.5),
+        QuadraticModel(flat, np.zeros(n), delta=0.5),
+    ]
+    count = 11
+
+    def scan(slab_points):
+        sizes = set()
+
+        def spy(S, h, points):
+            sizes.add(len(points))
+            return batch_energy(S, h, points)
+
+        monkeypatch.setattr(oracles, "_SLAB_POINTS", slab_points)
+        monkeypatch.setattr(oracles, "_batch_energy", spy)
+        sols = [
+            grid_minimize_box(m, 2.0 * m.delta / (count - 1), polish_steps=polish)
+            for m in models
+            for polish in (0, 100)
+        ]
+        return sols, sizes
+
+    batch_energy = oracles._batch_energy
+    small, small_sizes = scan(1)
+    whole, whole_sizes = scan(count**n)
+    assert small_sizes == {count} and whole_sizes == {count**n}
+    for a, b in zip(small, whole):
+        assert a.s_star.tobytes() == b.s_star.tobytes()
+        assert repr(a.value) == repr(b.value)
+    tied, flat_sol = small[4], small[6]  # models 2 and 3, no polish
+    expected = np.where(ties == 0.0, -0.5, 0.5)
+    assert tied.s_star.tobytes() == expected.tobytes()
+    assert np.all(flat_sol.s_star == -0.5)
 
 
 # ---------------------------------------------------------------------------
