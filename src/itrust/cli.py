@@ -108,27 +108,21 @@ def fit_linear_decay(iterations, gaps) -> RateFit:
 # Option plumbing
 
 
-def _parse_seeds(spec: str) -> list[int]:
-    seeds: list[int] = []
+def _parse_ints(spec: str) -> list[int]:
+    """Comma-separated integers and inclusive ranges, e.g. ``0-3,7``."""
+    values: list[int] = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
         if "-" in part[1:]:
             lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            values.extend(range(int(lo), int(hi) + 1))
         else:
-            seeds.append(int(part))
-    if not seeds:
-        raise ValueError(f"no seeds in {spec!r}")
-    return seeds
-
-
-def _parse_ks(spec: str) -> list[int]:
-    ks = [int(p) for p in spec.split(",") if p.strip()]
-    if not ks:
-        raise ValueError(f"no horizons in {spec!r}")
-    return ks
+            values.append(int(part))
+    if not values:
+        raise ValueError(f"no integers in {spec!r}")
+    return values
 
 
 def _parse_beta0(spec: str):
@@ -152,11 +146,12 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _experiment_options(options: dict) -> dict:
+    return {k: v for k, v in options.items() if k not in _NON_EXPERIMENT_KEYS}
+
+
 def _config_hash(options: dict) -> str:
-    payload = {
-        k: v for k, v in options.items() if k not in _NON_EXPERIMENT_KEYS
-    }
-    canon = json.dumps(payload, sort_keys=True, default=str)
+    canon = json.dumps(_experiment_options(options), sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -179,11 +174,7 @@ def _write_report(options: dict, name: str, rows: list[dict], summary: dict):
         payload = {
             "command": name,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "config": {
-                k: v
-                for k, v in options.items()
-                if k not in _NON_EXPERIMENT_KEYS
-            },
+            "config": _experiment_options(options),
             "config_hash": hash_,
             "rows": rows,
             "summary": {"rows": len(rows), "failed": n_failed, **summary},
@@ -205,9 +196,7 @@ def _solver_spec(options: dict):
         )
     if name == "exact-ball":
         return ExactBallSolver()
-    if name == "grid":
-        return GridSolver(resolution=options["resolution"])
-    raise ValueError(f"unknown solver {name!r}")
+    return GridSolver(resolution=options["resolution"])
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +286,12 @@ def _verify_cell(options: dict, seed: int) -> list[dict]:
             "passed": bool(passed),
         }
 
-    # Fixed-step suboptimality bound on a convex instance.
+    # Fixed-step suboptimality bound on a convex instance, noise-free at the
+    # 1/L step of the proof: beta0 = None resolves to 1/L in step_sizes.
     model = random_box_quadratic(n, seed, kind="psd")
     ref = _grid_reference(model)
     consts = estimate_constants(model)
-    # beta0 = None resolves to 1/L in step_sizes.
-    cfg = EcimConfig(
-        schedule="fixed",
-        beta0=options["beta0"],
-        sigma2=options["sigma2"],
-        iterations=K,
-        seed=seed,
-    )
+    cfg = EcimConfig(schedule="fixed", iterations=K, seed=seed)
     trace = run_ecim(model, cfg)
     beta = float(trace.betas[0])
     d = float(np.linalg.norm(trace.iterates[0] - ref.s_star))
@@ -401,8 +384,6 @@ def _verify_cell(options: dict, seed: int) -> list[dict]:
 
 
 def cmd_verify_bounds(options: dict) -> int:
-    if options["n"] > 3:
-        raise ValueError("verify-bounds supports n <= 3 (grid oracle range)")
     if options["K"] < 1000:
         raise ValueError(
             f"verify-bounds needs K >= 1000 to reach every check, got {options['K']}"
@@ -676,22 +657,20 @@ def build_parser() -> tuple[
 
     p = sub.add_parser("verify-bounds", help="check suboptimality bounds")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seeds", type=_parse_seeds, default=list(range(10)))
+    p.add_argument("--seeds", type=_parse_ints, default=list(range(10)))
     p.add_argument("--K", type=int, default=10000)
-    p.add_argument("--beta0", type=_parse_beta0, default=None)
-    p.add_argument("--sigma2", type=float, default=0.0)
     _add_common(p)
     p.set_defaults(func=cmd_verify_bounds)
 
     p = sub.add_parser("rate-fit", help="fit empirical convergence rates")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seeds", type=_parse_seeds, default=list(range(5)))
+    p.add_argument("--seeds", type=_parse_ints, default=list(range(5)))
     p.add_argument(
         "--schedule", choices=("fixed-horizon", "fixed"), default="fixed-horizon"
     )
     p.add_argument(
         "--ks",
-        type=_parse_ks,
+        type=_parse_ints,
         default=[316, 1000, 3162, 10000, 31623, 100000],
     )
     p.add_argument("--beta0", type=_parse_beta0, default=None)
@@ -702,7 +681,7 @@ def build_parser() -> tuple[
     p = sub.add_parser("compare-oracles", help="machine vs reference solvers")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", type=_parse_ks, default=[2, 3])
+    p.add_argument("--dims", type=_parse_ints, default=[2, 3])
     p.add_argument("--K", type=int, default=20000)
     _add_common(p)
     p.set_defaults(func=cmd_compare_oracles)

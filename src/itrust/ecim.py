@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import QuadraticModel
-from .writers import write_csv
 
 SCHEDULES = ("fixed", "fixed-horizon", "decreasing")
 
@@ -108,7 +107,6 @@ class EcimTrace:
     2-cycle, and the remaining rows alternate rows ``stop_index - 2`` and
     ``stop_index - 1``; their ``gm_norms`` are then not zero. Steps are
     computed by the block, so a run may have computed a few steps past it.
-    It is not written to trace files.
     """
 
     iterates: np.ndarray
@@ -133,24 +131,6 @@ class EcimTrace:
             raise ValueError(f"horizon {k} outside 1..{len(self.betas)}")
         w = self.betas[:k]
         return (w @ self.iterates[:k]) / np.sum(w)
-
-    def to_csv(self, path) -> None:
-        """Write per-iterate rows: k, beta_k, energy, gm_norm, best_energy.
-
-        The final row describes s(K), which has no outgoing step; its beta_k
-        and gm_norm are written as nan.
-        """
-        write_csv(
-            path,
-            ["k", "beta_k", "energy", "gm_norm", "best_energy"],
-            zip(
-                range(len(self.energies)),
-                [*self.betas, math.nan],
-                self.energies,
-                [*self.gm_norms, math.nan],
-                np.minimum.accumulate(self.energies),
-            ),
-        )
 
 
 def run_ecim(

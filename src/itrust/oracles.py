@@ -26,7 +26,8 @@ GRID_MAX_POINTS = 100_000_000
 
 # Points per evaluated block: the trailing axes of a block grow until it holds
 # at least _SLAB_POINTS, so that a block's arrays stay in cache, and never
-# past _BLOCK_LIMIT, which keeps the scan out of large allocations.
+# past _BLOCK_LIMIT, which keeps the scan out of large allocations. A single
+# trailing axis longer than _BLOCK_LIMIT is scanned in runs of that many.
 _SLAB_POINTS = 2048
 _BLOCK_LIMIT = 2_000_000
 
@@ -111,22 +112,33 @@ def grid_minimize_box(
     ):
         n_tail += 1
     lead_axes = [axis] * (n - n_tail)
-    tail_grid = np.stack(
-        np.meshgrid(*([axis] * n_tail), indexing="ij"), axis=-1
-    ).reshape(-1, n_tail)
+    rows = count**n_tail
+    run = min(rows, _BLOCK_LIMIT)
+    block = np.empty((run, n))
+    if run == rows:
+        # Write the tail lattice once, axis j broadcast along tail dimension j.
+        tail = block.reshape((count,) * n_tail + (n,))
+        for j in range(n_tail):
+            shape = (count,) + (1,) * (n_tail - 1 - j)
+            tail[..., n - n_tail + j] = axis.reshape(shape)
 
     best_val = math.inf
     best_point = None
-    block = np.empty((tail_grid.shape[0], n))
-    block[:, n - n_tail :] = tail_grid
     for prefix in itertools.product(*lead_axes):
         if prefix:
             block[:, : n - n_tail] = prefix
-        vals = _batch_energy(S, h, block)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_point = block[i].copy()
+        for lo in range(0, rows, run):
+            points = block
+            if run < rows:
+                # Only a one-axis tail outgrows a block: a run is a piece of it.
+                piece = axis[lo : lo + run]
+                points = block[: piece.size]
+                points[:, -1] = piece
+            vals = _batch_energy(S, h, points)
+            i = int(np.argmin(vals))
+            if vals[i] < best_val:
+                best_val = float(vals[i])
+                best_point = points[i].copy()
 
     # A zero symmetric coupling has no 1/L step, and its lattice minimum is a
     # corner, which no step improves.

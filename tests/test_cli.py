@@ -20,7 +20,8 @@ from itrust.cli import (
     SUBLINEAR_SLOPE_BAND,
     InsufficientDataError,
     _config_hash,
-    _parse_seeds,
+    _parse_ints,
+    build_parser,
     fit_linear_decay,
     main,
     read_config_file,
@@ -34,11 +35,16 @@ from itrust.writers import write_csv
 
 
 def test_parse_seeds():
-    assert _parse_seeds("0-3") == [0, 1, 2, 3]
-    assert _parse_seeds("1,5,9") == [1, 5, 9]
-    assert _parse_seeds("4") == [4]
+    assert _parse_ints("0-3") == [0, 1, 2, 3]
+    assert _parse_ints("1,5,9") == [1, 5, 9]
+    assert _parse_ints("4") == [4]
     with pytest.raises(ValueError):
-        _parse_seeds("")
+        _parse_ints("")
+    # The same parser reads --seeds, --ks and --dims.
+    parser, _ = build_parser()
+    assert parser.parse_args(["verify-bounds", "--seeds", "0-1"]).seeds == [0, 1]
+    assert parser.parse_args(["rate-fit", "--ks", "316,1000"]).ks == [316, 1000]
+    assert parser.parse_args(["compare-oracles", "--dims", "2-3"]).dims == [2, 3]
 
 
 def test_fit_rate_recovers_power_law():
@@ -296,9 +302,12 @@ def test_config_file_skips_keys_of_other_subcommands(tmp_path):
 
 
 def test_jobs_option_is_gone(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        main(["verify-bounds", "--jobs", "2", "--out", str(tmp_path)])
-    assert info.value.code == EXIT_USAGE
+    # Nor does verify-bounds take a step or a noise level: its checks run
+    # noise-free at the 1/L step.
+    for extra in (["--jobs", "2"], ["--beta0", "0.1"], ["--sigma2", "0.01"]):
+        with pytest.raises(SystemExit) as info:
+            main(["verify-bounds", *extra, "--out", str(tmp_path)])
+        assert info.value.code == EXIT_USAGE, extra
 
 
 def test_out_of_range_option_is_usage_error(tmp_path, capsys):
@@ -357,17 +366,17 @@ def test_verify_bounds_small_run(tmp_path, capsys):
 
 
 def test_verify_bounds_rejects_large_dimension(tmp_path, capsys):
-    rc = main(["verify-bounds", "--n", "9", "--out", str(tmp_path)])
+    rc = main(["verify-bounds", "--n", "5", "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("usage error: verify-bounds supports n <= 3")
+    assert err.startswith("usage error: grid oracle supports n <= 4")
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("extra", [["--K", "999"], ["--K", "5"], ["--beta0", "inf"]])
+@pytest.mark.parametrize("extra", [["--K", "999"], ["--K", "5"]])
 def test_verify_bounds_option_that_voids_checks_is_usage_error(tmp_path, capsys, extra):
     # Below K = 1000 the averaged-decay check, and below 10 the fixed-step
-    # check, has no horizon; an infinite step makes the fixed-step bound inf.
+    # check, has no horizon.
     out = tmp_path / "reports"
     rc = main(["verify-bounds", "--n", "2", "--seeds", "0", *extra, "--out", str(out)])
     assert rc == EXIT_USAGE
@@ -392,27 +401,17 @@ def test_zero_dimension_is_usage_error(tmp_path, capsys, argv):
 
 
 def test_verify_bounds_json_report(tmp_path):
-    rc = main(
-        [
-            "verify-bounds",
-            "--n",
-            "2",
-            "--seeds",
-            "0",
-            "--K",
-            "1000",
-            "--format",
-            "json",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert rc == EXIT_OK
-    payload = json.loads((tmp_path / "verify-bounds-n2.json").read_text())
-    assert payload["command"].startswith("verify-bounds")
-    assert payload["config_hash"]
-    assert payload["summary"]["failed"] == 0
-    assert all(row["passed"] for row in payload["rows"])
+    # n = 4 is the grid oracle's largest dimension.
+    for n in ("2", "4"):
+        argv = ["verify-bounds", "--n", n, "--seeds", "0", "--K", "1000"]
+        rc = main([*argv, "--format", "json", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        payload = json.loads((tmp_path / f"verify-bounds-n{n}.json").read_text())
+        assert payload["command"].startswith("verify-bounds")
+        assert payload["config_hash"]
+        assert set(payload["config"]) == {"n", "seeds", "K"}
+        assert payload["summary"]["failed"] == 0
+        assert all(row["passed"] for row in payload["rows"])
 
 
 def test_rate_fit_fixed_schedule(tmp_path, capsys):

@@ -268,22 +268,6 @@ def test_divergence_raises_with_iteration_index():
     assert abs(info.value.value) > 1e12 or math.isnan(info.value.value)
 
 
-def test_trace_csv_is_deterministic(tmp_path):
-    model = QuadraticModel(np.eye(2), np.array([0.2, 0.1]), delta=0.5)
-    config = EcimConfig(beta0=0.3, sigma2=0.1, iterations=25, seed=7)
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    run_ecim(model, config).to_csv(p1)
-    run_ecim(model, config).to_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-    lines = p1.read_text().strip().splitlines()
-    assert lines[0] == "k,beta_k,energy,gm_norm,best_energy"
-    assert len(lines) == 27  # header + K + 1 iterates
-    last = lines[-1].split(",")
-    assert last[1] == "nan" and last[3] == "nan"
-
-
 # ---------------------------------------------------------------------------
 # run_ecim against a step-by-step reference
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,11 +105,12 @@ def test_grid_beats_random_sampling():
         assert sol.value <= sampled + 1e-9, f"seed {seed}"
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_grid_result_does_not_depend_on_slab_size(n, monkeypatch):
-    # Slabs of one axis against one slab of the whole lattice: the same scan
-    # order, strict < between slabs and argmin within one give the same
-    # lexicographically first minimum, with the same energy bits.
+    # Slabs of one axis, runs of 4 points along one axis, and one slab of the
+    # whole lattice: the same scan order, strict < between blocks and argmin
+    # within one give the same lexicographically first minimum, with the same
+    # energy bits.
     rng = np.random.default_rng(n)
     flat = np.zeros((n, n))
     ties = np.where(np.arange(n) % 2 == 0, 0.0, -1.0)
@@ -117,10 +120,13 @@ def test_grid_result_does_not_depend_on_slab_size(n, monkeypatch):
         # Ties: every zero field entry leaves a whole axis of lattice minima.
         QuadraticModel(flat, ties, delta=0.5),
         QuadraticModel(flat, np.zeros(n), delta=0.5),
+        # Minima on the plane sum(s) = 0, not a product of axes: the order of
+        # the axes in the scan decides which one comes first.
+        QuadraticModel(np.ones((n, n)), np.zeros(n), delta=0.5),
     ]
     count = 11
 
-    def scan(slab_points):
+    def scan(slab_points, block_limit=oracles._BLOCK_LIMIT):
         sizes = set()
 
         def spy(S, h, points):
@@ -128,6 +134,7 @@ def test_grid_result_does_not_depend_on_slab_size(n, monkeypatch):
             return batch_energy(S, h, points)
 
         monkeypatch.setattr(oracles, "_SLAB_POINTS", slab_points)
+        monkeypatch.setattr(oracles, "_BLOCK_LIMIT", block_limit)
         monkeypatch.setattr(oracles, "_batch_energy", spy)
         sols = [
             grid_minimize_box(m, 2.0 * m.delta / (count - 1), polish_steps=polish)
@@ -138,15 +145,34 @@ def test_grid_result_does_not_depend_on_slab_size(n, monkeypatch):
 
     batch_energy = oracles._batch_energy
     small, small_sizes = scan(1)
+    runs, run_sizes = scan(1, block_limit=4)
     whole, whole_sizes = scan(count**n)
     assert small_sizes == {count} and whole_sizes == {count**n}
-    for a, b in zip(small, whole):
-        assert a.s_star.tobytes() == b.s_star.tobytes()
-        assert repr(a.value) == repr(b.value)
+    assert run_sizes == {4, count % 4}
+    for a, b, c in zip(small, runs, whole):
+        assert a.s_star.tobytes() == b.s_star.tobytes() == c.s_star.tobytes()
+        assert repr(a.value) == repr(b.value) == repr(c.value)
     tied, flat_sol = small[4], small[6]  # models 2 and 3, no polish
     expected = np.where(ties == 0.0, -0.5, 0.5)
     assert tied.s_star.tobytes() == expected.tobytes()
     assert np.all(flat_sol.s_star == -0.5)
+
+
+def test_grid_scan_of_one_long_axis_holds_one_copy_of_it(monkeypatch):
+    # Past _BLOCK_LIMIT points an axis is evaluated in runs: the scan's
+    # arrays beyond the axis itself are one run long.
+    monkeypatch.setattr(oracles, "_BLOCK_LIMIT", 4096)
+    model = QuadraticModel(np.array([[1.0]]), np.array([0.3]), delta=0.5)
+    tracemalloc.start()
+    try:
+        sol = grid_minimize_box(model, 1e-5, polish_steps=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    axis_bytes = 8 * (round(2 * model.delta / sol.resolution) + 1)
+    assert axis_bytes > 8 * 10**5
+    assert peak < 1.25 * axis_bytes
+    assert sol.s_star[0] == pytest.approx(-0.3, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
