@@ -1,10 +1,10 @@
 """Command-line interface: solves, bound verification, rate fits, oracle
 comparisons.
 
-Every command emits a deterministic report: CSV reports are byte-identical
-for identical configs and seeds, JSON reports identical up to their
-``timestamp`` field. Rows carry the seed and a hash of the resolved options
-so reports remain attributable when files are moved around.
+Every command but list-problems writes a deterministic report: CSV reports
+are byte-identical for identical configs and seeds, JSON reports identical
+up to their ``timestamp`` field. Rows carry the seed and a hash of the
+resolved options so reports remain attributable when files are moved around.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 error.
@@ -336,10 +336,10 @@ def _verify_cell(options: dict, seed: int) -> list[dict]:
     model = random_box_quadratic(n, seed, kind="strongly-convex")
     ref = _grid_reference(model)
     consts = estimate_constants(model)
-    beta = 1.0 / consts.L
     horizon = min(K, 4000)
-    cfg = EcimConfig(schedule="fixed", beta0=beta, iterations=horizon, seed=seed)
+    cfg = EcimConfig(schedule="fixed", iterations=horizon, seed=seed)
     trace = run_ecim(model, cfg)
+    beta = float(trace.betas[0])
     mu_p = estimate_mu_p(trace, ref.value)
     if mu_p is None or mu_p <= 0.0:
         rows.append(
@@ -404,133 +404,82 @@ def cmd_verify_bounds(options: dict) -> int:
 
 
 def _rate_cell(options: dict, seed: int) -> tuple[dict, list[float]]:
-    """One seed's report row and the gaps it fitted."""
-    n = options["n"]
-    schedule = options["schedule"]
+    """One seed's report row and the gaps it fitted.
 
-    if schedule == "fixed-horizon":
-        # Sublinear regime: singular convex instance with an active noise
-        # floor. The floor scales with the step size, so the tail-averaged
-        # gap of a horizon-K run decays like 1/sqrt(K).
-        model = random_box_quadratic(n, seed, kind="singular")
-        ref = _grid_reference(model)
-        consts = estimate_constants(model)
-        sigma2 = options["sigma2"] if options["sigma2"] is not None else 0.01
-        # A one-step probe gives the seed's start point, which no horizon
-        # changes.
-        probe = run_ecim(
-            model, EcimConfig(schedule="fixed", beta0=1.0, iterations=1, seed=seed)
-        )
-        d = float(np.linalg.norm(probe.iterates[0] - ref.s_star))
-        beta0 = options["beta0"] if options["beta0"] is not None else d / consts.G
-        gaps = []
-        ks = options["ks"]
-        for K in ks:
-            cfg = EcimConfig(
-                schedule="fixed-horizon",
-                beta0=beta0,
-                sigma2=sigma2,
-                iterations=K,
-                seed=seed,
-            )
-            trace = run_ecim(model, cfg)
-            gaps.append(float(np.mean(trace.energies[K // 2 :])) - ref.value)
-        fit = fit_linear_decay(np.log(ks), gaps)
-        (lo, hi), r2_min = SUBLINEAR_SLOPE_BAND, 0.0
-        passed = lo <= fit.slope <= hi
-        instance = f"singular-n{n}"
-    else:
-        # Geometric regime: planted-interior instance whose optimum is known
-        # in closed form. A gentle step stretches the decay over enough
-        # iterations to expose the line.
-        model = random_box_quadratic(n, seed, kind="pl")
-        s_star = np.linalg.solve(model.symmetric_coupling(), -model.field)
-        e_star = float(energy(model, s_star))
-        consts = estimate_constants(model)
-        K = max(options["ks"])
-        beta0 = options["beta0"] if options["beta0"] is not None else 0.2 / consts.L
-        sigma2 = options["sigma2"] if options["sigma2"] is not None else 0.0
+    The instance is singular convex with an active noise floor. The floor
+    scales with the step size, so the tail-averaged gap of a horizon-K run
+    decays like 1/sqrt(K).
+    """
+    n = options["n"]
+    model = random_box_quadratic(n, seed, kind="singular")
+    ref = _grid_reference(model)
+    consts = estimate_constants(model)
+    # A one-step probe gives the seed's start point, which no horizon changes.
+    probe = run_ecim(
+        model, EcimConfig(schedule="fixed", beta0=1.0, iterations=1, seed=seed)
+    )
+    d = float(np.linalg.norm(probe.iterates[0] - ref.s_star))
+    gaps = []
+    ks = options["ks"]
+    for K in ks:
         cfg = EcimConfig(
-            schedule="fixed", beta0=beta0, sigma2=sigma2, iterations=K, seed=seed
+            schedule="fixed-horizon",
+            beta0=d / consts.G,
+            sigma2=0.01,
+            iterations=K,
+            seed=seed,
         )
         trace = run_ecim(model, cfg)
-        gaps_all = trace.energies - e_star
-        usable = np.nonzero(gaps_all > GAP_FLOOR)[0]
-        k_max = int(usable[-1]) if usable.size else 0
-        # The first tenth of the decay can bend while box clipping is still
-        # active; fit past it.
-        start = max(1, k_max // 10)
-        candidates = sorted(
-            set(int(k) for k in np.linspace(start, max(k_max, start + 11), 12))
-        )
-        ks, gaps = [], []
-        for k in candidates:
-            if k < len(gaps_all) and gaps_all[k] > GAP_FLOOR:
-                ks.append(k)
-                gaps.append(float(gaps_all[k]))
-        fit = fit_linear_decay(ks, gaps)
-        lo, hi, r2_min = -math.inf, 0.0, 0.95
-        passed = fit.slope < hi and fit.r_squared >= r2_min
-        instance = f"pl-n{n}"
-
+        gaps.append(float(np.mean(trace.energies[K // 2 :])) - ref.value)
+    fit = fit_linear_decay(np.log(ks), gaps)
+    lo, hi = SUBLINEAR_SLOPE_BAND
     return {
-        "instance": instance,
+        "instance": f"singular-n{n}",
         "seed": seed,
-        "schedule": schedule,
+        "schedule": "fixed-horizon",
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
         "n_points": fit.n_points,
         "band_lo": lo,
         "band_hi": hi,
-        "r2_min": r2_min,
-        "passed": bool(passed),
+        "r2_min": 0.0,
+        "passed": lo <= fit.slope <= hi,
     }, gaps
 
 
 def cmd_rate_fit(options: dict) -> int:
-    seeds = options["seeds"]
-    cells = [_rate_cell(options, seed) for seed in seeds]
-    cells.sort(key=lambda cell: (cell[0]["instance"], cell[0]["seed"]))
+    cells = [_rate_cell(options, seed) for seed in sorted(options["seeds"])]
     rows = [row for row, _ in cells]
 
     # Per-seed slopes fluctuate with the noise realization; the rate claim
     # is about the family, so the verdict pools gaps geometrically across
     # seeds at each horizon before fitting.
-    if options["schedule"] == "fixed-horizon":
-        ks = options["ks"]
-        pooled = [
-            float(np.exp(np.mean([math.log(gaps[i]) for _, gaps in cells])))
-            if all(gaps[i] > 0 for _, gaps in cells)
-            else math.nan
-            for i in range(len(ks))
-        ]
-        pooled_fit = fit_linear_decay(np.log(ks), pooled)
-        lo, hi = SUBLINEAR_SLOPE_BAND
-        verdict = lo <= pooled_fit.slope <= hi
-        pooled_summary = {
-            "pooled_slope": pooled_fit.slope,
-            "pooled_r_squared": pooled_fit.r_squared,
-        }
-    else:
-        verdict = all(r["passed"] for r in rows)
-        pooled_summary = {}
-    slopes = [r["slope"] for r in rows]
+    ks = options["ks"]
+    pooled = [
+        float(np.exp(np.mean([math.log(gaps[i]) for _, gaps in cells])))
+        if all(gaps[i] > 0 for _, gaps in cells)
+        else math.nan
+        for i in range(len(ks))
+    ]
+    pooled_fit = fit_linear_decay(np.log(ks), pooled)
+    lo, hi = SUBLINEAR_SLOPE_BAND
+    verdict = lo <= pooled_fit.slope <= hi
     summary = {
-        "mean_slope": float(np.mean(slopes)),
+        "mean_slope": float(np.mean([r["slope"] for r in rows])),
         "verdict_passed": bool(verdict),
-        **pooled_summary,
+        "pooled_slope": pooled_fit.slope,
+        "pooled_r_squared": pooled_fit.r_squared,
     }
     path, _ = _write_report(
-        options, f"rate-fit-{options['schedule']}-n{options['n']}", rows, summary
+        options, f"rate-fit-fixed-horizon-n{options['n']}", rows, summary
     )
     for r in rows:
         print(
             f"{r['instance']} seed {r['seed']}: slope = {r['slope']:.3f}, "
             f"r2 = {r['r_squared']:.4f}, passed = {r['passed']}"
         )
-    if "pooled_slope" in summary:
-        print(f"pooled slope = {summary['pooled_slope']:.3f}")
+    print(f"pooled slope = {summary['pooled_slope']:.3f}")
     print(f"report: {path}")
     return EXIT_OK if verdict else EXIT_VERIFICATION_FAILED
 
@@ -666,15 +615,10 @@ def build_parser() -> tuple[
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seeds", type=_parse_ints, default=list(range(5)))
     p.add_argument(
-        "--schedule", choices=("fixed-horizon", "fixed"), default="fixed-horizon"
-    )
-    p.add_argument(
         "--ks",
         type=_parse_ints,
         default=[316, 1000, 3162, 10000, 31623, 100000],
     )
-    p.add_argument("--beta0", type=_parse_beta0, default=None)
-    p.add_argument("--sigma2", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_rate_fit)
 
@@ -687,7 +631,6 @@ def build_parser() -> tuple[
     p.set_defaults(func=cmd_compare_oracles)
 
     p = sub.add_parser("list-problems", help="list the problem library")
-    _add_common(p)
     p.set_defaults(func=cmd_list_problems)
 
     return parser, sub.choices
@@ -740,7 +683,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subcommands = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
+    if getattr(args, "config", None):
         try:
             _apply_config_file(args, subcommands)
         except (OSError, ValueError) as exc:

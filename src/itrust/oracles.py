@@ -97,7 +97,6 @@ def grid_minimize_box(
             f"grid oracle scans at most {GRID_MAX_POINTS} points, got "
             f"{count}^{n} (delta {delta}, resolution {resolution})"
         )
-    axis = np.linspace(-delta, delta, count)
     spacing = 2.0 * delta / (count - 1)
     S = model.symmetric_coupling()
     h = model.field
@@ -111,9 +110,12 @@ def grid_minimize_box(
         and count ** (n_tail + 1) <= _BLOCK_LIMIT
     ):
         n_tail += 1
-    lead_axes = [axis] * (n - n_tail)
     rows = count**n_tail
     run = min(rows, _BLOCK_LIMIT)
+    # A one-axis tail longer than a block is built a run at a time, so the
+    # whole axis is held only where a block or the lead axes need it.
+    axis = np.linspace(-delta, delta, count) if run == rows or n_tail < n else None
+    lead_axes = [axis] * (n - n_tail)
     block = np.empty((run, n))
     if run == rows:
         # Write the tail lattice once, axis j broadcast along tail dimension j.
@@ -130,10 +132,13 @@ def grid_minimize_box(
         for lo in range(0, rows, run):
             points = block
             if run < rows:
-                # Only a one-axis tail outgrows a block: a run is a piece of it.
-                piece = axis[lo : lo + run]
-                points = block[: piece.size]
-                points[:, -1] = piece
+                # Only a one-axis tail outgrows a block: a run is a piece of
+                # it, computed as np.linspace computes its points.
+                hi = min(lo + run, count)
+                points = block[: hi - lo]
+                points[:, -1] = np.arange(lo, hi, dtype=float) * spacing - delta
+                if hi == count:
+                    points[-1, -1] = delta
             vals = _batch_energy(S, h, points)
             i = int(np.argmin(vals))
             if vals[i] < best_val:

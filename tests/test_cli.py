@@ -134,13 +134,20 @@ def test_solve_writes_trace_and_summary(tmp_path, capsys):
     assert "config_hash" in payload
     out = capsys.readouterr().out
     assert "quad2" in out and "converged" in out
+    # A JSON trace records the same iterations.
+    rows = trace.read_text().splitlines()[1:]
+    assert run_solve(tmp_path, "--format", "json") == EXIT_OK
+    payload = json.loads((tmp_path / "solve-quad2-ecim-seed0.trace.json").read_text())
+    assert payload["converged"] is True
+    assert len(payload["records"]) == len(rows)
 
 
 def test_solve_trace_is_byte_deterministic(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
+    # --beta0 auto spells out the default 1/L step.
     assert run_solve(a, "--sigma2", "0.01") == EXIT_OK
-    assert run_solve(b, "--sigma2", "0.01") == EXIT_OK
+    assert run_solve(b, "--sigma2", "0.01", "--beta0", "auto") == EXIT_OK
     ta = (a / "solve-quad2-ecim-seed0.trace.csv").read_bytes()
     tb = (b / "solve-quad2-ecim-seed0.trace.csv").read_bytes()
     assert ta == tb
@@ -262,11 +269,13 @@ def test_solve_without_problem_is_usage_error(tmp_path, capsys):
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
+    # An unknown key, and a line that is no key = value pair at all.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("jitter = 3\n")
-    rc = main(["solve", "--config", str(cfg), "--problem", "quad2", "--out", str(tmp_path)])
-    assert rc == EXIT_USAGE
-    assert "config error" in capsys.readouterr().err
+    for line in ("jitter = 3\n", "jitter\n"):
+        cfg.write_text(line)
+        argv = ["solve", "--config", str(cfg), "--problem", "quad2"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE, line
+        assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["format = xml", "schedule = bogus"])
@@ -302,12 +311,21 @@ def test_config_file_skips_keys_of_other_subcommands(tmp_path):
 
 
 def test_jobs_option_is_gone(tmp_path):
-    # Nor does verify-bounds take a step or a noise level: its checks run
-    # noise-free at the 1/L step.
-    for extra in (["--jobs", "2"], ["--beta0", "0.1"], ["--sigma2", "0.01"]):
+    # Nor do verify-bounds and rate-fit take a step, a noise level or a
+    # schedule: each runs the ones its checks are stated for. list-problems
+    # writes no report, so it takes no report options.
+    for argv in (
+        ["verify-bounds", "--jobs", "2"],
+        ["verify-bounds", "--beta0", "0.1"],
+        ["verify-bounds", "--sigma2", "0.01"],
+        ["rate-fit", "--schedule", "fixed"],
+        ["rate-fit", "--beta0", "0.1"],
+        ["rate-fit", "--sigma2", "0.01"],
+        ["list-problems", "--out", str(tmp_path)],
+    ):
         with pytest.raises(SystemExit) as info:
-            main(["verify-bounds", *extra, "--out", str(tmp_path)])
-        assert info.value.code == EXIT_USAGE, extra
+            main(argv)
+        assert info.value.code == EXIT_USAGE, argv
 
 
 def test_out_of_range_option_is_usage_error(tmp_path, capsys):
@@ -365,6 +383,22 @@ def test_verify_bounds_small_run(tmp_path, capsys):
     assert "0 failed" in out
 
 
+def test_verify_bounds_without_mu_p_fails_linear_rate(tmp_path, capsys, monkeypatch):
+    # With no iterate left to estimate mu_p from, the linear rate cannot be
+    # confirmed: its row fails with an infinite observation, and the
+    # complexity check, which needs mu_p, is not made.
+    monkeypatch.setattr(itrust.cli, "estimate_mu_p", lambda trace, e_star: None)
+    argv = ["verify-bounds", "--n", "1", "--seeds", "0", "--K", "1000"]
+    rc = main([*argv, "--format", "json", "--out", str(tmp_path)])
+    assert rc == EXIT_VERIFICATION_FAILED
+    rows = json.loads((tmp_path / "verify-bounds-n1.json").read_text())["rows"]
+    linear = [row for row in rows if row["check"] == "linear-rate-bound"]
+    assert len(linear) == 1
+    assert linear[0]["observed"] == math.inf and linear[0]["passed"] is False
+    assert not any(row["check"] == "iteration-complexity" for row in rows)
+    assert "1 failed" in capsys.readouterr().out
+
+
 def test_verify_bounds_rejects_large_dimension(tmp_path, capsys):
     rc = main(["verify-bounds", "--n", "5", "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
@@ -414,28 +448,9 @@ def test_verify_bounds_json_report(tmp_path):
         assert all(row["passed"] for row in payload["rows"])
 
 
-def test_rate_fit_fixed_schedule(tmp_path, capsys):
-    rc = main(
-        [
-            "rate-fit",
-            "--schedule",
-            "fixed",
-            "--seeds",
-            "0-1",
-            "--ks",
-            "1500",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert rc == EXIT_OK
-    out = capsys.readouterr().out
-    assert "slope" in out
-
-
 def test_rate_fit_fixed_horizon_pooled_verdict(tmp_path, capsys):
-    argv = ["rate-fit", "--schedule", "fixed-horizon", "--seeds", "0-1"]
-    argv += ["--ks", "1000,3162,10000,31623", "--sigma2", "0.01", "--format", "json"]
+    argv = ["rate-fit", "--seeds", "0-1"]
+    argv += ["--ks", "1000,3162,10000,31623", "--format", "json"]
     rc = main([*argv, "--out", str(tmp_path)])
     payload = json.loads((tmp_path / "rate-fit-fixed-horizon-n2.json").read_text())
     summary = payload["summary"]
@@ -452,9 +467,7 @@ def test_rate_fit_starved_of_data_is_usage_error(tmp_path, capsys):
         ["--seeds", "0", "--ks", "40,80,160"],
         ["--seeds", "0-1", "--ks", "1000,1000,1000,1000"],
     ):
-        rc = main(
-            ["rate-fit", "--schedule", "fixed-horizon", *extra, "--out", str(tmp_path)]
-        )
+        rc = main(["rate-fit", *extra, "--out", str(tmp_path)])
         assert rc == EXIT_USAGE, extra
         assert "insufficient data" in capsys.readouterr().err
 
@@ -516,8 +529,8 @@ def test_campaign_report_columns(tmp_path):
             ["verify-bounds", "--n", "1", "--seeds", "0", "--K", "1000"],
             "check,instance,seed,K,observed,bound,passed,config_hash",
         ),
-        "rate-fit-fixed-n2.csv": (
-            ["rate-fit", "--schedule", "fixed", "--seeds", "0", "--ks", "1500"],
+        "rate-fit-fixed-horizon-n2.csv": (
+            ["rate-fit", "--seeds", "0", "--ks", "100,316,1000,3162"],
             "instance,seed,schedule,slope,intercept,r_squared,n_points,"
             "band_lo,band_hi,r2_min,passed,config_hash",
         ),
@@ -530,6 +543,45 @@ def test_campaign_report_columns(tmp_path):
     for name, (argv, header) in campaigns.items():
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / name).read_text().splitlines()[0] == header
+
+
+class RecordingOptions(dict):
+    """Options that remember every key a command reads."""
+
+    def __init__(self, options):
+        super().__init__(options)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_command_reads_every_option_it_accepts(tmp_path):
+    # An option that its command never reads changes nothing. solve runs once
+    # per backend, since each backend reads its own options; main consumes
+    # --config before the command runs.
+    parser, subcommands = build_parser()
+    out = ["--out", str(tmp_path)]
+    solve = ["solve", "--problem", "quad2", "--T", "2", "--K", "50", *out]
+    runs = [
+        *([*solve, "--solver", solver] for solver in ("ecim", "exact-ball", "grid")),
+        ["verify-bounds", "--n", "1", "--seeds", "0", "--K", "1000", *out],
+        ["rate-fit", "--n", "1", "--seeds", "0", "--ks", "100,316,1000,3162", *out],
+        ["compare-oracles", "--count", "1", "--K", "100", *out],
+        ["list-problems"],
+    ]
+    read = {name: set() for name in subcommands}
+    for argv in runs:
+        options = vars(parser.parse_args(argv))
+        command, func = options.pop("command"), options.pop("func")
+        recorded = RecordingOptions(options)
+        func(recorded)
+        read[command] |= recorded.read
+    for name, sub in subcommands.items():
+        accepted = {a.dest for a in sub._actions if a.option_strings}
+        unread = accepted - {"help", "config"} - read[name]
+        assert not unread, (name, unread)
 
 
 def test_list_problems(capsys):

@@ -228,14 +228,18 @@ def test_gradient_bound_identity_model():
 
 
 def test_gradient_bound_dominates_box_samples():
+    # The corner maximum at n = 3, and the norm bound past _CORNER_MAX_DIM.
     rng = np.random.default_rng(4)
-    for seed in range(10):
-        model = random_box_quadratic(3, seed=seed, kind="indefinite")
-        est = estimate_constants(model)
-        S = model.symmetric_coupling()
-        samples = rng.uniform(-model.delta, model.delta, size=(500, 3))
-        norms = np.linalg.norm(samples @ S + model.field, axis=1)
-        assert est.G >= float(norms.max()) - 1e-12
+    for n in (3, 25):
+        for seed in range(10):
+            model = random_box_quadratic(n, seed=seed, kind="indefinite")
+            est = estimate_constants(model)
+            S = model.symmetric_coupling()
+            samples = rng.uniform(-model.delta, model.delta, size=(500, n))
+            corners = model.delta * rng.choice([-1.0, 1.0], size=(500, n))
+            for points in (samples, corners):
+                norms = np.linalg.norm(points @ S + model.field, axis=1)
+                assert est.G >= float(norms.max()) - 1e-12, (n, seed)
 
 
 def test_estimate_mu_p_on_planted_instance():

@@ -123,6 +123,10 @@ def test_grid_result_does_not_depend_on_slab_size(n, monkeypatch):
         # Minima on the plane sum(s) = 0, not a product of axes: the order of
         # the axes in the scan decides which one comes first.
         QuadraticModel(np.ones((n, n)), np.zeros(n), delta=0.5),
+        # Minimum at the last lattice point: at delta = 1.95 and 11 points,
+        # (count - 1) * spacing - delta overshoots delta by one ulp, so a run
+        # must end on delta itself, as np.linspace does.
+        QuadraticModel(flat, -np.ones(n), delta=1.95),
     ]
     count = 11
 
@@ -156,11 +160,12 @@ def test_grid_result_does_not_depend_on_slab_size(n, monkeypatch):
     expected = np.where(ties == 0.0, -0.5, 0.5)
     assert tied.s_star.tobytes() == expected.tobytes()
     assert np.all(flat_sol.s_star == -0.5)
+    assert np.all(small[10].s_star == 1.95)  # model 5, no polish
 
 
-def test_grid_scan_of_one_long_axis_holds_one_copy_of_it(monkeypatch):
-    # Past _BLOCK_LIMIT points an axis is evaluated in runs: the scan's
-    # arrays beyond the axis itself are one run long.
+def test_grid_scan_of_one_long_axis_holds_less_than_the_axis(monkeypatch):
+    # Past _BLOCK_LIMIT points an axis is built and evaluated in runs: the
+    # scan holds a few arrays one run long, never the whole axis.
     monkeypatch.setattr(oracles, "_BLOCK_LIMIT", 4096)
     model = QuadraticModel(np.array([[1.0]]), np.array([0.3]), delta=0.5)
     tracemalloc.start()
@@ -171,7 +176,7 @@ def test_grid_scan_of_one_long_axis_holds_one_copy_of_it(monkeypatch):
         tracemalloc.stop()
     axis_bytes = 8 * (round(2 * model.delta / sol.resolution) + 1)
     assert axis_bytes > 8 * 10**5
-    assert peak < 1.25 * axis_bytes
+    assert peak < 0.5 * axis_bytes
     assert sol.s_star[0] == pytest.approx(-0.3, abs=1e-5)
 
 

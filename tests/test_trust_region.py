@@ -282,17 +282,35 @@ def test_solver_failure_shrinks_and_recovers():
     assert trace.records[first_ok].delta < 1e7
 
 
-def test_warm_start_runs_and_converges():
-    p = get_problem("quad2")
-    config = TrustRegionConfig(
-        solver=EcimConfig(iterations=800, sigma2=0.0, seed=5),
-        iterations=50,
-        gtol=1e-7,
-        warm_start=True,
-        **TUNED,
-    )
-    trace = itrust(p.objective, config, p.start)
-    assert trace.converged
+def test_warm_start_runs_and_converges(monkeypatch):
+    # quad2 converges in one step, before any warm start; illscaled takes
+    # several, each started from the last step mapped into solver coordinates.
+    starts = []
+
+    def spy(model, solver, seed=None, s0=None, scaling=None):
+        starts.append(s0)
+        return solve_subproblem(model, solver, seed=seed, s0=s0, scaling=scaling)
+
+    monkeypatch.setattr("itrust.trust_region.solve_subproblem", spy)
+    for name in ("quad2", "illscaled"):
+        starts.clear()
+        p = get_problem(name)
+        config = TrustRegionConfig(
+            solver=EcimConfig(iterations=800, sigma2=0.0, seed=5),
+            iterations=50,
+            gtol=1e-7,
+            warm_start=True,
+            scaling=p.scaling,
+            **TUNED,
+        )
+        trace = itrust(p.objective, config, p.start)
+        assert trace.converged, name
+    assert trace.n_iterations > 1
+    assert np.max(np.abs(trace.theta_final - p.theta_star)) <= 1e-6
+    records = trace.records
+    assert starts[0] is None and all(r.accepted for r in records)
+    for s0, previous in zip(starts[1:], records):
+        assert np.array_equal(s0, p.scaling * previous.step)
 
 
 def test_scaling_speeds_up_ill_conditioned_problem():
