@@ -56,7 +56,7 @@ SUBLINEAR_SLOPE_BAND = (-0.7, -0.4)
 
 # Options that shape the output location, not the experiment itself; they
 # stay out of the config hash.
-_NON_EXPERIMENT_KEYS = {"out", "format", "config"}
+_NON_EXPERIMENT_KEYS = {"out", "format"}
 
 
 class InsufficientDataError(ValueError):
@@ -131,21 +131,6 @@ def _parse_beta0(spec: str):
     return float(spec)
 
 
-def read_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` option file; '#' starts a comment line."""
-    values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 def _experiment_options(options: dict) -> dict:
     return {k: v for k, v in options.items() if k not in _NON_EXPERIMENT_KEYS}
 
@@ -204,8 +189,6 @@ def _solver_spec(options: dict):
 
 
 def cmd_solve(options: dict) -> int:
-    if options["problem"] is None:
-        raise ValueError("solve needs --problem or a problem key in --config")
     problem = get_problem(options["problem"])
 
     config = TrustRegionConfig(
@@ -348,12 +331,9 @@ def _verify_cell(options: dict, seed: int) -> list[dict]:
         return rows
     gaps_k = trace.energies - ref.value
     gap0 = float(gaps_k[0])
-    worst = 0.0
-    factor = 1.0
-    for k in range(1, len(gaps_k)):
-        factor *= 1.0 - beta * mu_p
-        if gaps_k[k] > GAP_FLOOR and factor * gap0 > 0.0:
-            worst = max(worst, float(gaps_k[k]) / (factor * gap0))
+    envelope = np.cumprod(np.full(len(gaps_k) - 1, 1.0 - beta * mu_p)) * gap0
+    counted = (gaps_k[1:] > GAP_FLOOR) & (envelope > 0.0)
+    worst = float(np.max(gaps_k[1:][counted] / envelope[counted], initial=0.0))
     rows.append(
         row(
             "linear-rate-bound",
@@ -436,14 +416,10 @@ def _rate_cell(options: dict, seed: int) -> tuple[dict, list[float]]:
     return {
         "instance": f"singular-n{n}",
         "seed": seed,
-        "schedule": "fixed-horizon",
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
         "n_points": fit.n_points,
-        "band_lo": lo,
-        "band_hi": hi,
-        "r2_min": 0.0,
         "passed": lo <= fit.slope <= hi,
     }, gaps
 
@@ -561,17 +537,14 @@ def cmd_list_problems(options: dict) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value option file")
     parser.add_argument("--out", default="reports", help="report directory")
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="report format"
     )
 
 
-def build_parser() -> tuple[
-    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
-]:
-    """The ``itrust`` parser and its subcommand parsers by name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``itrust`` parser, with one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="itrust",
         description="Trust-region optimization with a simulated Ising-machine "
@@ -580,7 +553,7 @@ def build_parser() -> tuple[
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run the trust-region loop on a problem")
-    p.add_argument("--problem", help="problem name (required, flag or config file)")
+    p.add_argument("--problem", required=True, help="problem name")
     p.add_argument("--solver", choices=("ecim", "exact-ball", "grid"), default="ecim")
     p.add_argument("--seed", type=int, default=EcimConfig.seed)
     p.add_argument(
@@ -633,66 +606,12 @@ def build_parser() -> tuple[
     p = sub.add_parser("list-problems", help="list the problem library")
     p.set_defaults(func=cmd_list_problems)
 
-    return parser, sub.choices
-
-
-def _file_value(action: argparse.Action, raw: str):
-    """Convert a file value as the command line would: with the action's
-    type and choices, or, for a store_true flag, on for 1, true or yes."""
-    if action.nargs == 0:
-        return raw.lower() in ("1", "true", "yes")
-    value = action.type(raw) if action.type else raw
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(map(repr, action.choices))
-        raise ValueError(
-            f"{action.dest}: invalid choice {raw!r} (choose from {choices})"
-        )
-    return value
-
-
-def _apply_config_file(
-    args: argparse.Namespace, subcommands: dict[str, argparse.ArgumentParser]
-) -> None:
-    """File values become the defaults of the subcommand's parser, so that
-    parsing the command line again lets every flag given there win, whether
-    spelled out or abbreviated.
-
-    A key that only another subcommand accepts is skipped; a key that no
-    subcommand accepts is an error.
-    """
-    values = read_config_file(args.config)
-    actions = {
-        name: {
-            a.dest: a
-            for a in p._actions
-            if a.option_strings and a.dest not in ("help", "config")
-        }
-        for name, p in subcommands.items()
-    }
-    own = actions[args.command]
-    defaults = {}
-    for key, raw in values.items():
-        if not any(key in known for known in actions.values()):
-            raise ValueError(f"unknown config key {key!r}")
-        if key in own:
-            defaults[key] = _file_value(own[key], raw)
-    subcommands[args.command].set_defaults(**defaults)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subcommands = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            _apply_config_file(args, subcommands)
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        args = parser.parse_args(argv)
-
-    options = vars(args).copy()
-    command = options.pop("command")
+    options = vars(build_parser().parse_args(argv))
+    del options["command"]
     func = options.pop("func")
     try:
         return func(options)

@@ -339,7 +339,11 @@ def estimate_mu_p(trace, e_star: float) -> float | None:
 
 
 def estimate_constants(model: QuadraticModel) -> ConstantEstimates:
-    """Constants of one subproblem: exact G and L. The empirical mu_p of a
-    run is ``estimate_mu_p``."""
+    """Constants of one subproblem: the gradient bound G and the exact L.
+
+    G is the exact box maximum of ||S s + h|| (a corner scan) up to
+    ``_CORNER_MAX_DIM`` = 20; above it, G is the upper bound
+    ||S||_2 delta sqrt(n) + ||h||. The empirical mu_p of a run is
+    ``estimate_mu_p``."""
     L = float(np.max(np.abs(np.linalg.eigvalsh(model.symmetric_coupling()))))
     return ConstantEstimates(G=_gradient_bound(model), L=L)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import subprocess
@@ -24,7 +25,6 @@ from itrust.cli import (
     build_parser,
     fit_linear_decay,
     main,
-    read_config_file,
 )
 from itrust.trust_region import SHRINK_FACTOR
 from itrust.writers import write_csv
@@ -41,7 +41,7 @@ def test_parse_seeds():
     with pytest.raises(ValueError):
         _parse_ints("")
     # The same parser reads --seeds, --ks and --dims.
-    parser, _ = build_parser()
+    parser = build_parser()
     assert parser.parse_args(["verify-bounds", "--seeds", "0-1"]).seeds == [0, 1]
     assert parser.parse_args(["rate-fit", "--ks", "316,1000"]).ks == [316, 1000]
     assert parser.parse_args(["compare-oracles", "--dims", "2-3"]).dims == [2, 3]
@@ -72,19 +72,6 @@ def test_fit_linear_decay_recovers_geometric_rate():
     fit = fit_linear_decay(k, gaps)
     assert fit.slope == pytest.approx(np.log(0.9), rel=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
-
-def test_read_config_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# campaign defaults\n"
-        "problem = quad5\n"
-        "use-scaling = true\n"
-        "\n"
-        "T = 7\n"
-    )
-    values = read_config_file(str(path))
-    assert values == {"problem": "quad5", "use_scaling": "true", "T": "7"}
 
 
 def test_config_hash_ignores_output_options():
@@ -227,94 +214,25 @@ def test_solve_divergent_machine_fails_every_iteration_and_shrinks(tmp_path):
     assert deltas[1:] == [SHRINK_FACTOR * d for d in deltas[:-1]]
 
 
-def test_config_file_fills_defaults_and_flags_win(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("problem = quad5\nT = 2\ngtol = 1e-300\n")
-    out = tmp_path / "reports"
-    rc = main(["solve", "--config", str(cfg), "--problem", "quad2", "--out", str(out)])
-    assert rc == EXIT_OK
-    # Explicit --problem wins; T and gtol come from the file.
-    summary = out / "solve-quad2-ecim-seed0.summary.json"
-    payload = json.loads(summary.read_text())
-    assert payload["problem"] == "quad2"
-    assert payload["iterations"] <= 2
-    assert payload["converged"] is False
-
-    # An abbreviated flag wins too: --cou is --count.
-    cfg.write_text("count = 2\nK = 300\n")
-    argv = ["compare-oracles", "--config", str(cfg), "--cou", "1", "--format", "json"]
-    assert main([*argv, "--out", str(out)]) == EXIT_OK
-    payload = json.loads((out / "compare-oracles.json").read_text())
-    assert payload["config"]["count"] == 1 and payload["config"]["K"] == 300
-    assert payload["summary"]["rows"] == 1
-
-
-def test_config_file_supplies_problem(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("problem = quad2\nsolver = exact-ball\nT = 3\n")
-    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
-    assert rc == EXIT_OK
-    summary = tmp_path / "solve-quad2-exact-ball-seed0.summary.json"
-    assert json.loads(summary.read_text())["problem"] == "quad2"
-
-
 def test_solve_without_problem_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("T = 3\n")
     out = tmp_path / "reports"
-    for extra in ([], ["--config", str(cfg)]):
-        assert main(["solve", *extra, "--out", str(out)]) == EXIT_USAGE
-        assert "usage error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--out", str(out)])
+    assert info.value.code == EXIT_USAGE
+    assert "required: --problem" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_config_file_unknown_key(tmp_path, capsys):
-    # An unknown key, and a line that is no key = value pair at all.
-    cfg = tmp_path / "run.cfg"
-    for line in ("jitter = 3\n", "jitter\n"):
-        cfg.write_text(line)
-        argv = ["solve", "--config", str(cfg), "--problem", "quad2"]
-        assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE, line
-        assert "config error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("line", ["format = xml", "schedule = bogus"])
-def test_config_file_value_outside_choices(tmp_path, capsys, line):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    out = tmp_path / "reports"
-    argv = ["solve", "--config", str(cfg), "--problem", "quad2", "--out", str(out)]
-    assert main(argv) == EXIT_USAGE
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_config_file_flag_matches_command_line_flag(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("use-scaling = true\n")
-    common = ["solve", "--problem", "quad2", "--solver", "exact-ball", "--T", "3"]
-    for out, extra in (("a", ["--config", str(cfg)]), ("b", ["--use-scaling"])):
-        assert main([*common, *extra, "--out", str(tmp_path / out)]) == EXIT_OK
-    name = "solve-quad2-exact-ball-seed0.summary.json"
-    a = json.loads((tmp_path / "a" / name).read_text())
-    b = json.loads((tmp_path / "b" / name).read_text())
-    assert a["config_hash"] == b["config_hash"]
-
-
-def test_config_file_skips_keys_of_other_subcommands(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("problem = quad5\nseeds = 0\nK = 1000\nn = 1\n")
-    rc = main(["verify-bounds", "--config", str(cfg), "--out", str(tmp_path)])
-    assert rc == EXIT_OK
-    rows = (tmp_path / "verify-bounds-n1.csv").read_text().splitlines()
-    assert len(rows) > 1
 
 
 def test_jobs_option_is_gone(tmp_path):
     # Nor do verify-bounds and rate-fit take a step, a noise level or a
     # schedule: each runs the ones its checks are stated for. list-problems
-    # writes no report, so it takes no report options.
+    # writes no report, so it takes no report options. No command reads an
+    # option file: every option is a flag.
     for argv in (
+        ["solve", "--problem", "quad2", "--config", "x"],
+        ["verify-bounds", "--config", "x"],
+        ["rate-fit", "--config", "x"],
+        ["compare-oracles", "--config", "x"],
         ["verify-bounds", "--jobs", "2"],
         ["verify-bounds", "--beta0", "0.1"],
         ["verify-bounds", "--sigma2", "0.01"],
@@ -531,8 +449,7 @@ def test_campaign_report_columns(tmp_path):
         ),
         "rate-fit-fixed-horizon-n2.csv": (
             ["rate-fit", "--seeds", "0", "--ks", "100,316,1000,3162"],
-            "instance,seed,schedule,slope,intercept,r_squared,n_points,"
-            "band_lo,band_hi,r2_min,passed,config_hash",
+            "instance,seed,slope,intercept,r_squared,n_points,passed,config_hash",
         ),
         "compare-oracles.csv": (
             ["compare-oracles", "--count", "1", "--K", "500"],
@@ -559,9 +476,12 @@ class RecordingOptions(dict):
 
 def test_every_command_reads_every_option_it_accepts(tmp_path):
     # An option that its command never reads changes nothing. solve runs once
-    # per backend, since each backend reads its own options; main consumes
-    # --config before the command runs.
-    parser, subcommands = build_parser()
+    # per backend, since each backend reads its own options.
+    parser = build_parser()
+    (subparsers,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    subcommands = subparsers.choices
     out = ["--out", str(tmp_path)]
     solve = ["solve", "--problem", "quad2", "--T", "2", "--K", "50", *out]
     runs = [
@@ -580,7 +500,7 @@ def test_every_command_reads_every_option_it_accepts(tmp_path):
         read[command] |= recorded.read
     for name, sub in subcommands.items():
         accepted = {a.dest for a in sub._actions if a.option_strings}
-        unread = accepted - {"help", "config"} - read[name]
+        unread = accepted - {"help"} - read[name]
         assert not unread, (name, unread)
 
 

@@ -1,8 +1,10 @@
 """The documented surface: the README's library example runs, its command
-lines parse, and every name in ``itrust.__all__`` resolves."""
+lines parse, every flag it names exists, and every name in
+``itrust.__all__`` resolves."""
 
 from __future__ import annotations
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -26,10 +28,26 @@ def test_readme_command_lines_parse():
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     commands = [shlex.split(line) for line in lines if line.startswith("itrust ")]
     assert len(commands) >= 5
-    parser, _ = build_parser()
+    parser = build_parser()
     for argv in commands:
         args = parser.parse_args(argv[1:])
         assert args.command == argv[1]
+
+
+def test_readme_documents_only_existing_flags():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[A-Za-z][\w-]*", section))
+    accepted = {
+        flag
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for sub in action.choices.values()
+        for option in sub._actions
+        for flag in option.option_strings
+    }
+    assert documented
+    assert documented <= accepted, sorted(documented - accepted)
 
 
 def test_all_names_resolve():
