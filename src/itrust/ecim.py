@@ -95,21 +95,23 @@ def project_box(z: np.ndarray, delta: float) -> np.ndarray:
 
 @dataclass
 class EcimTrace:
-    """Complete record of one machine run.
+    """Record of one machine run.
 
-    ``iterates`` holds s(0..K) row-wise, ``energies`` the matching energy
-    values and ``betas`` the K per-step step sizes; ``gm_norms`` derives the
-    K gradient-mapping norms from them. ``averaged_iterate_at(k)`` is the
-    beta-weighted mean of s(0..k-1). ``stop_index`` is the step after which
-    the trace repeats: K, or fewer when a noise-free run reached an exact
-    fixed point at step ``stop_index - 1``, and the remaining rows repeat
-    that point, or when a noise-free run at a constant step reached an exact
-    2-cycle, and the remaining rows alternate rows ``stop_index - 2`` and
+    ``energies`` holds the energy values of s(0..K) and ``betas`` the K
+    per-step step sizes. ``iterates`` holds s(0..K) row-wise when the run
+    was made with ``keep_iterates=True``, and is None otherwise; ``gm_norms``
+    derives the K gradient-mapping norms from the rows, and
+    ``averaged_iterate_at(k)`` is the beta-weighted mean of s(0..k-1).
+    ``stop_index`` is the step after which the trace repeats: K, or fewer
+    when a noise-free run reached an exact fixed point at step
+    ``stop_index - 1``, and the remaining rows repeat that point, or when a
+    noise-free run at a constant step reached an exact 2-cycle, and the
+    remaining rows alternate rows ``stop_index - 2`` and
     ``stop_index - 1``; their ``gm_norms`` are then not zero. Steps are
     computed by the block, so a run may have computed a few steps past it.
     """
 
-    iterates: np.ndarray
+    iterates: np.ndarray | None
     energies: np.ndarray
     betas: np.ndarray
     best_index: int
@@ -118,15 +120,20 @@ class EcimTrace:
     stop_index: int
 
     @property
-    def gm_norms(self) -> np.ndarray:
+    def gm_norms(self) -> np.ndarray | None:
         """Norms of the gradient mappings ``(s(k) - s(k+1)) / beta_k``,
-        computed on each read with one (K, n) temporary."""
+        computed on each read with one (K, n) temporary; None when the run
+        kept no iterates."""
+        if self.iterates is None:
+            return None
         d = self.iterates[:-1] - self.iterates[1:]
         d /= self.betas[:, None]
         return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])).reshape(len(d))
 
     def averaged_iterate_at(self, k: int) -> np.ndarray:
         """Beta-weighted mean of s(0..k-1), the averaged output at horizon k."""
+        if self.iterates is None:
+            raise ValueError("averaged iterates need a run with keep_iterates=True")
         if not 1 <= k <= len(self.betas):
             raise ValueError(f"horizon {k} outside 1..{len(self.betas)}")
         w = self.betas[:k]
@@ -134,19 +141,25 @@ class EcimTrace:
 
 
 def run_ecim(
-    model: QuadraticModel, config: EcimConfig, s0: np.ndarray | None = None
+    model: QuadraticModel,
+    config: EcimConfig,
+    s0: np.ndarray | None = None,
+    keep_iterates: bool = False,
 ) -> EcimTrace:
-    """Run the machine for ``config.iterations`` steps and trace everything.
+    """Run the machine for ``config.iterations`` steps.
 
     Steps are computed in blocks of up to ``BLOCK_STEPS``: a Python loop runs
-    only the recurrence, and the energies and stopping tests of a block are
-    then computed together. A noise-free run stops after the block in which
-    it reaches an exact fixed point and fills the rest of the trace with it.
-    At a constant step (``fixed`` or ``fixed-horizon``) it also stops at an
-    exact 2-cycle, ``s(k+2) == s(k)`` bit for bit, and fills the rest of the
-    trace by alternating rows k and k+1 (see ``EcimTrace.stop_index``). The
-    trace is bit for bit the same as with every step computed and checked
-    one at a time.
+    only the recurrence, and the energies, stopping tests and best row of a
+    block are then computed together. By default the rows live in a buffer
+    of one block, so a run holds O(block n) of them, and the trace keeps
+    only the energies, step sizes and best iterate; ``keep_iterates=True``
+    keeps every row in ``EcimTrace.iterates``. A noise-free run stops after
+    the block in which it reaches an exact fixed point and fills the rest of
+    the trace with it. At a constant step (``fixed`` or ``fixed-horizon``)
+    it also stops at an exact 2-cycle, ``s(k+2) == s(k)`` bit for bit, and
+    fills the rest of the trace by alternating rows k and k+1 (see
+    ``EcimTrace.stop_index``). The trace is bit for bit the same as with
+    every step computed and checked one at a time, in either mode.
 
     Parameters
     ----------
@@ -157,6 +170,9 @@ def run_ecim(
     s0 : ndarray, optional
         Start point. Defaults to a uniform draw from the box using
         ``config.seed``; points outside the box are projected onto it.
+    keep_iterates : bool, optional
+        Keep the (K + 1, n) iterate trace, which ``gm_norms``,
+        ``averaged_iterate_at`` and ``estimate_mu_p`` read.
 
     Raises
     ------
@@ -177,44 +193,61 @@ def run_ecim(
             raise ValueError(f"s0 shape {s.shape}, expected ({n},)")
 
     betas = step_sizes(config, model)
-    beta_list = betas.tolist()
     sigma = math.sqrt(config.sigma2)
     constant_step = config.schedule != "decreasing"
     block = max(1, min(BLOCK_STEPS, NOISE_CHUNK_BYTES // (8 * n)))
 
     S = model.symmetric_coupling()
     h = model.field
-    iterates = np.empty((K + 1, n))
+    # Row k + 1 of the store holds s(k); row 0 is there so that a block's
+    # window of rows s(k0 - 1..k1) is one slice in either mode. The full
+    # store keeps every row; the streaming one holds one block's window, and
+    # its last two rows move to the front after each block.
+    store = np.empty((K + 2 if keep_iterates else block + 2, n))
+    store[1] = s
     energies = np.empty(K + 1)
-    iterates[0] = s
     stop_index = K
-    # Per-step buffers and row views made once: at small n a step costs its
-    # numpy calls, so the loop allocates nothing and converts no scalar bound.
+    best_index = -1
+    best_energy = math.inf
+    best_iterate = None
+    # Per-step buffers, row views and scalar bounds made once: at small n a
+    # step costs its numpy calls, so the loop allocates nothing. The noise
+    # buffer is reused too, and the streaming window's row views serve every
+    # block; a full store's are made per block.
     grads = np.empty((block + 1, n))
     grad_rows = list(grads)
     scaled = np.empty(n)
+    noise_rows = np.empty((block, n)) if sigma > 0.0 else None
     lower = np.full(n, -delta)
     upper = np.full(n, delta)
     no_noise = itertools.repeat(None)
+    window_rows = None if keep_iterates else list(store[1:])
 
     # The per-step loop computes only the recurrence; each step writes s(k+1)
-    # in place into its trace row, with the floating-point operations of
-    # ecim_step in tests/reference.py. Energies and both stopping tests are
-    # then computed for the whole block, with the same per-row dot products as
-    # a step-by-step run, so traces do not depend on the block and equal rows
-    # have equal energies. A block may step past a divergence before its
-    # check; those steps are discarded, and their overflow is not warned about.
+    # in place into its row, with the floating-point operations of ecim_step
+    # in tests/reference.py. Energies, both stopping tests and the best row
+    # are then computed for the whole block, with the same per-row dot
+    # products as a step-by-step run, so traces do not depend on the block or
+    # the mode, and equal rows have equal energies. A block may step past a
+    # divergence before its check; those steps are discarded, and their
+    # overflow is not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, K, block):
             k1 = min(k0 + block, K)
-            X = iterates[k0 : k1 + 1]
-            rows = list(X)
+            W = store[k0 : k1 + 2] if keep_iterates else store[: k1 - k0 + 2]
+            X = W[1:]
+            rows = list(X) if keep_iterates else window_rows
             noise = no_noise
             if sigma > 0.0:
-                noise = rng.normal(0.0, sigma, (k1 - k0, n))
+                # The values of rng.normal(0.0, sigma): 0.0 + sigma * z, where
+                # the addition turns a -0.0 into 0.0.
+                noise = noise_rows[: k1 - k0]
+                rng.standard_normal(out=noise)
+                noise *= sigma
+                noise += 0.0
                 if config.modulate_noise:
                     noise *= betas[k0:k1, None]
-            steps = zip(rows, rows[1:], grad_rows, noise, beta_list[k0:k1])
+            steps = zip(rows, rows[1:], grad_rows, noise, betas[k0:k1].tolist())
             for s, s_next, g, z, beta in steps:
                 np.dot(S, s, out=g)
                 np.add(g, h, g)
@@ -251,8 +284,9 @@ def run_ecim(
             # or the run would have stopped).
             period = 0
             if sigma == 0.0:
-                lo = k0 - 1 if constant_step and k0 > 0 else k0
-                bits = iterates[lo : k1 + 1].view(np.int64)
+                back = 1 if constant_step and k0 > 0 else 0
+                lo = k0 - back
+                bits = W[1 - back :].view(np.int64)
                 if (bits[-1] == bits[-2]).all():
                     period = 1
                 elif constant_step and len(bits) > 2 and (bits[-1] == bits[-3]).all():
@@ -266,19 +300,28 @@ def run_ecim(
                 j = int(np.argmax(out_of_range))
                 raise DivergenceError(k0 + j, e[j])
             energies[k0 : k0 + len(e)] = e
+            # A strict < keeps the first minimum, as np.argmin would over the
+            # whole trace; the rows a stop fills in repeat earlier energies.
+            j = int(e.argmin())
+            if e[j] < best_energy:
+                best_index = k0 + j
+                best_energy = float(e[j])
+                best_iterate = X[j].copy()
             if period:
                 for j in range(stop_index - period, stop_index):
-                    iterates[j + period :: period] = iterates[j]
                     energies[j + period :: period] = energies[j]
+                    if keep_iterates:
+                        store[j + 1 + period :: period] = store[j + 1]
                 break
+            if not keep_iterates:
+                store[:2] = W[-2:]
 
-    best_index = int(np.argmin(energies))
     return EcimTrace(
-        iterates=iterates,
+        iterates=store[1:] if keep_iterates else None,
         energies=energies,
         betas=betas,
         best_index=best_index,
-        best_energy=float(energies[best_index]),
-        best_iterate=iterates[best_index].copy(),
+        best_energy=best_energy,
+        best_iterate=best_iterate,
         stop_index=stop_index,
     )

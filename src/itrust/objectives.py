@@ -328,8 +328,11 @@ def estimate_mu_p(trace, e_star: float) -> float | None:
 
     Ratios ``||g(k)||^2 / (2 (E(s(k)) - E*))`` over the run's iterates,
     excluding iterates whose gap is below ``MU_P_GAP_FLOOR``. Returns None
-    when every iterate is excluded.
+    when every iterate is excluded. The run must have kept its iterates
+    (``run_ecim(..., keep_iterates=True)``); otherwise ValueError.
     """
+    if trace.iterates is None:
+        raise ValueError("estimate_mu_p needs a run with keep_iterates=True")
     gaps = trace.energies[:-1] - e_star
     keep = gaps >= MU_P_GAP_FLOOR
     if not np.any(keep):

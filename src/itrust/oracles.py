@@ -149,7 +149,8 @@ def grid_minimize_box(
     # corner, which no step improves.
     if polish_steps > 0 and S.any():
         config = EcimConfig(iterations=polish_steps)
-        s = run_ecim(model, config, s0=best_point).iterates[-1].copy()
+        trace = run_ecim(model, config, s0=best_point, keep_iterates=True)
+        s = trace.iterates[-1].copy()
         polished = energy(model, s)
         if polished < best_val:
             best_val = polished

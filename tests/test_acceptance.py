@@ -118,6 +118,7 @@ def test_criterion_03_fixed_step_bound():
             EcimConfig(
                 schedule="fixed", beta0=beta, sigma2=0.0, iterations=10_000, seed=seed
             ),
+            keep_iterates=True,
         )
         d = float(np.linalg.norm(trace.iterates[0] - ref.s_star))
         best = np.minimum.accumulate(trace.energies)
@@ -149,7 +150,9 @@ def test_criterion_04_fixed_horizon_rate():
         ref = grid_reference(model)
         consts = estimate_constants(model)
         probe = run_ecim(
-            model, EcimConfig(schedule="fixed", beta0=1.0, iterations=1, seed=seed)
+            model,
+            EcimConfig(schedule="fixed", beta0=1.0, iterations=1, seed=seed),
+            keep_iterates=True,
         )
         d = float(np.linalg.norm(probe.iterates[0] - ref.s_star))
         beta0 = d / consts.G
@@ -218,6 +221,7 @@ def test_criterion_05_averaged_iterate_decay():
             EcimConfig(
                 schedule="decreasing", beta0=beta0, iterations=100_000, seed=seed
             ),
+            keep_iterates=True,
         )
         d = float(np.linalg.norm(trace.iterates[0] - ref.s_star))
         gaps = [
@@ -265,6 +269,7 @@ def test_criterion_06_linear_rate_and_complexity():
         trace = run_ecim(
             model,
             EcimConfig(schedule="fixed", beta0=beta, iterations=4000, seed=seed),
+            keep_iterates=True,
         )
         mu_p = estimate_mu_p(trace, e_star)
         assert mu_p is not None and mu_p > 0.0
@@ -315,7 +320,7 @@ def test_criterion_07_gradient_domination_constant():
         # estimator cannot overshoot when eigenvalues are nearly equal.
         aligned = s_star + 0.35 * model.delta * vecs[:, 0]
         for s0 in (None, aligned):
-            trace = run_ecim(model, config, s0=s0)
+            trace = run_ecim(model, config, s0=s0, keep_iterates=True)
             est = estimate_mu_p(trace, e_star)
             if est is not None:
                 estimates.append(est)
@@ -430,7 +435,9 @@ def test_criterion_10_trace_determinism(tmp_path):
     inner = []
     for _ in range(2):
         trace = run_ecim(
-            model, EcimConfig(beta0=0.3, sigma2=0.1, iterations=500, seed=9)
+            model,
+            EcimConfig(beta0=0.3, sigma2=0.1, iterations=500, seed=9),
+            keep_iterates=True,
         )
         arrays = (trace.iterates, trace.energies, trace.betas)
         inner.append(b"".join(a.tobytes() for a in arrays))

@@ -376,7 +376,12 @@ def test_rate_fit_fixed_horizon_pooled_verdict(tmp_path, capsys):
     lo, hi = SUBLINEAR_SLOPE_BAND
     assert lo <= summary["pooled_slope"] <= hi
     assert [row["seed"] for row in payload["rows"]] == [0, 1]
-    assert "pooled slope" in capsys.readouterr().out
+    # Seed 1's own fit falls outside the band while the pooled verdict
+    # passes; the summary line says so.
+    assert [row["passed"] for row in payload["rows"]] == [True, False]
+    out = capsys.readouterr().out
+    assert "1 of 2 per-seed fits outside the band; the verdict pools them" in out
+    assert "pooled slope" in out
 
 
 def test_rate_fit_starved_of_data_is_usage_error(tmp_path, capsys):

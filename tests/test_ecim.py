@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from itrust import (
     EcimConfig,
     QuadraticModel,
     energy,
+    estimate_mu_p,
     project_box,
     random_box_quadratic,
     run_ecim,
@@ -136,7 +138,9 @@ def test_run_converges_to_box_corner():
 def test_trace_shapes_and_bookkeeping():
     model = QuadraticModel(np.eye(3), np.zeros(3), delta=1.0)
     K = 40
-    trace = run_ecim(model, EcimConfig(beta0=0.3, iterations=K, seed=4))
+    trace = run_ecim(
+        model, EcimConfig(beta0=0.3, iterations=K, seed=4), keep_iterates=True
+    )
     assert trace.iterates.shape == (K + 1, 3)
     assert trace.energies.shape == (K + 1,)
     assert trace.betas.shape == (K,)
@@ -152,7 +156,11 @@ def test_energies_match_iterates():
     model = QuadraticModel(
         np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([0.2, -0.1]), delta=0.7
     )
-    trace = run_ecim(model, EcimConfig(beta0=0.2, sigma2=0.05, iterations=50, seed=9))
+    trace = run_ecim(
+        model,
+        EcimConfig(beta0=0.2, sigma2=0.05, iterations=50, seed=9),
+        keep_iterates=True,
+    )
     for k in (0, 10, 50):
         assert trace.energies[k] == pytest.approx(
             energy(model, trace.iterates[k]), rel=1e-12, abs=1e-12
@@ -161,7 +169,11 @@ def test_energies_match_iterates():
 
 def test_gm_norms_match_consecutive_iterates():
     model = QuadraticModel(np.eye(2), np.array([0.3, -0.2]), delta=0.6)
-    trace = run_ecim(model, EcimConfig(beta0=0.4, sigma2=0.01, iterations=30, seed=2))
+    trace = run_ecim(
+        model,
+        EcimConfig(beta0=0.4, sigma2=0.01, iterations=30, seed=2),
+        keep_iterates=True,
+    )
     for k in (0, 7, 29):
         gm = (trace.iterates[k] - trace.iterates[k + 1]) / trace.betas[k]
         assert trace.gm_norms[k] == pytest.approx(np.linalg.norm(gm), rel=1e-12)
@@ -173,6 +185,7 @@ def test_averaged_iterate_weighting():
         model,
         EcimConfig(schedule="decreasing", beta0=1.0, iterations=3, seed=0),
         s0=np.array([0.8]),
+        keep_iterates=True,
     )
     w = trace.betas
     expected = (w @ trace.iterates[:3]) / w.sum()
@@ -182,6 +195,37 @@ def test_averaged_iterate_weighting():
         trace.averaged_iterate_at(0)
     with pytest.raises(ValueError):
         trace.averaged_iterate_at(4)
+
+
+def test_streamed_trace_keeps_no_rows():
+    model = QuadraticModel(np.eye(2), np.array([0.3, -0.2]), delta=0.6)
+    trace = run_ecim(model, EcimConfig(beta0=0.4, sigma2=0.01, iterations=30, seed=2))
+    assert trace.iterates is None
+    assert trace.gm_norms is None
+    assert trace.energies.shape == (31,) and trace.betas.shape == (30,)
+    with pytest.raises(ValueError, match="keep_iterates"):
+        trace.averaged_iterate_at(3)
+    with pytest.raises(ValueError, match="keep_iterates"):
+        estimate_mu_p(trace, e_star=-1.0)
+
+
+def test_streamed_run_memory_is_one_block():
+    # n = 200, K = 30000: the full trace is 48 MB, a block of rows about
+    # 100 kB, and the energies and step sizes 240 kB each.
+    n, K = 200, 30_000
+    model = random_box_quadratic(n, 7, kind="pl")
+    config = EcimConfig(sigma2=1e-6, iterations=K, seed=7)
+    peaks = []
+    for keep in (False, True):
+        tracemalloc.start()
+        try:
+            trace = run_ecim(model, config, keep_iterates=keep)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del trace
+    assert peaks[0] < 8 * 2**20
+    assert peaks[1] >= (K + 1) * n * 8
 
 
 def test_descent_lemma_properties_noiseless():
@@ -211,20 +255,29 @@ def test_descent_lemma_properties_noiseless():
 def test_run_is_deterministic():
     model = QuadraticModel(np.eye(2), np.array([0.1, -0.3]), delta=0.5)
     config = EcimConfig(beta0=0.3, sigma2=0.2, iterations=100, seed=123)
-    a = run_ecim(model, config)
-    b = run_ecim(model, config)
+    a = run_ecim(model, config, keep_iterates=True)
+    b = run_ecim(model, config, keep_iterates=True)
     assert np.array_equal(a.iterates, b.iterates)
     assert np.array_equal(a.energies, b.energies)
-    c = run_ecim(model, EcimConfig(beta0=0.3, sigma2=0.2, iterations=100, seed=124))
+    c = run_ecim(
+        model,
+        EcimConfig(beta0=0.3, sigma2=0.2, iterations=100, seed=124),
+        keep_iterates=True,
+    )
     assert not np.array_equal(a.iterates, c.iterates)
 
 
 def test_noise_changes_trajectory_and_modulation_scales_it():
     model = QuadraticModel(np.eye(2), np.zeros(2), delta=1.0)
     s0 = np.array([0.9, -0.9])
-    quiet = run_ecim(model, EcimConfig(beta0=0.1, iterations=50, seed=5), s0=s0)
+    quiet = run_ecim(
+        model, EcimConfig(beta0=0.1, iterations=50, seed=5), s0=s0, keep_iterates=True
+    )
     noisy = run_ecim(
-        model, EcimConfig(beta0=0.1, sigma2=0.5, iterations=50, seed=5), s0=s0
+        model,
+        EcimConfig(beta0=0.1, sigma2=0.5, iterations=50, seed=5),
+        s0=s0,
+        keep_iterates=True,
     )
     assert not np.array_equal(quiet.iterates, noisy.iterates)
 
@@ -232,6 +285,7 @@ def test_noise_changes_trajectory_and_modulation_scales_it():
         model,
         EcimConfig(beta0=0.1, sigma2=0.5, iterations=50, seed=5, modulate_noise=True),
         s0=s0,
+        keep_iterates=True,
     )
     # Same noise stream, scaled by beta: s(1) differs from the unmodulated run
     # by (1 - beta) * beta * zeta(0).
@@ -245,9 +299,11 @@ def test_s0_projection_flag():
     # included); an out-of-box start is clipped onto the box.
     model = QuadraticModel(np.eye(2), np.zeros(2), delta=0.5)
     s0 = np.array([-0.5, -0.0])
-    inside = run_ecim(model, EcimConfig(iterations=5), s0=s0)
+    inside = run_ecim(model, EcimConfig(iterations=5), s0=s0, keep_iterates=True)
     assert inside.iterates[0].tobytes() == s0.tobytes()
-    outside = run_ecim(model, EcimConfig(iterations=5), s0=np.array([2.0, -0.7]))
+    outside = run_ecim(
+        model, EcimConfig(iterations=5), s0=np.array([2.0, -0.7]), keep_iterates=True
+    )
     assert np.array_equal(outside.iterates[0], [0.5, -0.5])
     with pytest.raises(ValueError):
         run_ecim(model, EcimConfig(iterations=5), s0=np.zeros(3))
@@ -255,7 +311,7 @@ def test_s0_projection_flag():
 
 def test_default_start_is_inside_box():
     model = QuadraticModel(np.eye(4), np.zeros(4), delta=0.3)
-    trace = run_ecim(model, EcimConfig(iterations=2, seed=42))
+    trace = run_ecim(model, EcimConfig(iterations=2, seed=42), keep_iterates=True)
     assert np.max(np.abs(trace.iterates[0])) <= 0.3
 
 
@@ -315,20 +371,34 @@ def _reference_run(model, config, s0=None) -> tuple[EcimTrace, np.ndarray]:
     return trace, gm_norms
 
 
+def _runs(model, config, s0=None) -> tuple[EcimTrace, EcimTrace]:
+    """The run with its iterates kept, and streamed; both stop at one step."""
+    full = run_ecim(model, config, s0, keep_iterates=True)
+    streamed = run_ecim(model, config, s0)
+    assert streamed.stop_index == full.stop_index
+    return full, streamed
+
+
 def _assert_bit_identical(
     trace: EcimTrace, ref: EcimTrace, ref_gm_norms: np.ndarray
 ) -> None:
-    for name in ("iterates", "energies", "betas", "best_iterate"):
+    """``trace`` equals the reference bit for bit in all that it keeps."""
+    for name in ("energies", "betas", "best_iterate"):
         a, b = getattr(trace, name), getattr(ref, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert trace.best_index == ref.best_index
+    assert repr(trace.best_energy) == repr(ref.best_energy)
+    if trace.iterates is None:
+        assert trace.gm_norms is None
+        return
+    assert trace.iterates.shape == ref.iterates.shape
+    assert trace.iterates.tobytes() == ref.iterates.tobytes()
     gm_norms = trace.gm_norms
     assert gm_norms.shape == ref_gm_norms.shape
     assert gm_norms.tobytes() == ref_gm_norms.tobytes()
     K = len(ref.betas)
     averaged = (ref.betas @ ref.iterates[:K]) / np.sum(ref.betas)
     assert trace.averaged_iterate_at(K).tobytes() == averaged.tobytes()
-    assert trace.best_index == ref.best_index
-    assert repr(trace.best_energy) == repr(ref.best_energy)
 
 
 @pytest.mark.parametrize("schedule", ["fixed", "fixed-horizon", "decreasing"])
@@ -350,8 +420,9 @@ def test_run_matches_step_by_step_reference(schedule):
             seed=seed,
             modulate_noise=modulate,
         )
-        trace = run_ecim(model, config)
-        _assert_bit_identical(trace, *_reference_run(model, config))
+        ref = _reference_run(model, config)
+        for trace in _runs(model, config):
+            _assert_bit_identical(trace, *ref)
         if sigma2 > 0.0:
             assert trace.stop_index == K
 
@@ -362,11 +433,13 @@ def test_fixed_point_stop_matches_reference(schedule):
     # it exactly and stays there.
     model = QuadraticModel(np.eye(3), np.full(3, -2.0), delta=0.5)
     config = EcimConfig(schedule=schedule, beta0=0.5, iterations=500, seed=3)
-    trace = run_ecim(model, config)
+    trace, streamed = _runs(model, config)
     assert 1 <= trace.stop_index < 100
     assert np.all(trace.iterates[trace.stop_index :] == 0.5)
     assert np.all(trace.gm_norms[trace.stop_index - 1 :] == 0.0)
-    _assert_bit_identical(trace, *_reference_run(model, config))
+    ref = _reference_run(model, config)
+    _assert_bit_identical(trace, *ref)
+    _assert_bit_identical(streamed, *ref)
 
 
 @pytest.mark.parametrize("offset", [1, 0])
@@ -378,9 +451,11 @@ def test_fixed_point_at_block_edge_matches_reference(offset):
     model = QuadraticModel(np.zeros((2, 2)), np.array([-1.0, 0.0]), delta=0.5)
     config = EcimConfig(beta0=1.0 / BLOCK_STEPS, iterations=3 * BLOCK_STEPS)
     s0 = np.array([-0.5 + offset / BLOCK_STEPS, 0.25])
-    trace = run_ecim(model, config, s0)
+    trace, streamed = _runs(model, config, s0)
     assert trace.stop_index == BLOCK_STEPS + 1 - offset
-    _assert_bit_identical(trace, *_reference_run(model, config, s0))
+    ref = _reference_run(model, config, s0)
+    _assert_bit_identical(trace, *ref)
+    _assert_bit_identical(streamed, *ref)
 
 
 def test_two_cycle_stop_matches_reference():
@@ -388,12 +463,14 @@ def test_two_cycle_stop_matches_reference():
     model = QuadraticModel(np.array([[2.0]]), np.array([0.0]), delta=1.0)
     config = EcimConfig(beta0=1.0, iterations=300)
     s0 = np.array([0.3])
-    trace = run_ecim(model, config, s0)
+    trace, streamed = _runs(model, config, s0)
     assert trace.stop_index == 2
     assert np.all(trace.iterates[0::2] == 0.3)
     assert np.all(trace.iterates[1::2] == -0.3)
     assert np.all(trace.gm_norms == 0.6)
-    _assert_bit_identical(trace, *_reference_run(model, config, s0))
+    ref = _reference_run(model, config, s0)
+    _assert_bit_identical(trace, *ref)
+    _assert_bit_identical(streamed, *ref)
 
 
 @pytest.mark.parametrize("offset", [1, 0])
@@ -408,9 +485,11 @@ def test_two_cycle_at_block_edge_matches_reference(offset):
     )
     config = EcimConfig(beta0=1.0 / BLOCK_STEPS, iterations=3 * BLOCK_STEPS)
     s0 = np.array([-0.5 + offset / BLOCK_STEPS, 0.25])
-    trace = run_ecim(model, config, s0)
+    trace, streamed = _runs(model, config, s0)
     assert trace.stop_index == BLOCK_STEPS + 2 - offset
-    _assert_bit_identical(trace, *_reference_run(model, config, s0))
+    ref = _reference_run(model, config, s0)
+    _assert_bit_identical(trace, *ref)
+    _assert_bit_identical(streamed, *ref)
 
 
 @pytest.mark.parametrize(
@@ -426,10 +505,12 @@ def test_no_two_cycle_stop_without_constant_noise_free_step(schedule, sigma2):
         schedule=schedule, beta0=100.0, sigma2=sigma2, iterations=150, seed=1
     )
     s0 = np.array([1.0])
-    trace = run_ecim(model, config, s0)
+    trace, streamed = _runs(model, config, s0)
     assert trace.iterates[2].tobytes() == trace.iterates[0].tobytes()
     assert trace.stop_index == 150
-    _assert_bit_identical(trace, *_reference_run(model, config, s0))
+    ref = _reference_run(model, config, s0)
+    _assert_bit_identical(trace, *ref)
+    _assert_bit_identical(streamed, *ref)
 
 
 @pytest.mark.parametrize("modulate", [False, True])
@@ -451,7 +532,9 @@ def test_chunked_noise_matches_single_draw(modulate, monkeypatch):
         seed=12,
         modulate_noise=modulate,
     )
-    _assert_bit_identical(run_ecim(model, config), *_reference_run(model, config))
+    ref = _reference_run(model, config)
+    for trace in _runs(model, config):
+        _assert_bit_identical(trace, *ref)
 
 
 @pytest.mark.filterwarnings("error")
@@ -471,7 +554,8 @@ def test_divergence_at_reference_iteration():
         config = EcimConfig(beta0=beta0, iterations=200, seed=0)
         with pytest.raises(DivergenceError) as ref:
             _reference_run(model, config, s0)
-        with pytest.raises(DivergenceError) as info:
-            run_ecim(model, config, s0)
-        assert info.value.iteration == ref.value.iteration > 1
-        assert repr(info.value.value) == repr(ref.value.value)
+        for keep in (True, False):
+            with pytest.raises(DivergenceError) as info:
+                run_ecim(model, config, s0, keep_iterates=keep)
+            assert info.value.iteration == ref.value.iteration > 1
+            assert repr(info.value.value) == repr(ref.value.value)

@@ -247,7 +247,9 @@ def test_estimate_mu_p_on_planted_instance():
     S = model.symmetric_coupling()
     e_star = energy(model, np.linalg.solve(S, -model.field))
     L = float(np.max(np.abs(np.linalg.eigvalsh(S))))
-    trace = run_ecim(model, EcimConfig(beta0=1.0 / L, iterations=2000, seed=0))
+    trace = run_ecim(
+        model, EcimConfig(beta0=1.0 / L, iterations=2000, seed=0), keep_iterates=True
+    )
     mu_hat = estimate_mu_p(trace, e_star)
     mu = float(np.linalg.eigvalsh(S)[0])
     assert mu_hat is not None
@@ -258,6 +260,9 @@ def test_estimate_mu_p_floor_excludes_converged_tail():
     # All gaps below the floor: nothing usable, estimator declines.
     model = QuadraticModel(np.eye(1), np.zeros(1), delta=1.0)
     trace = run_ecim(
-        model, EcimConfig(beta0=1.0, iterations=5, seed=0), s0=np.zeros(1)
+        model,
+        EcimConfig(beta0=1.0, iterations=5, seed=0),
+        s0=np.zeros(1),
+        keep_iterates=True,
     )
     assert estimate_mu_p(trace, e_star=0.0) is None
