@@ -109,6 +109,9 @@ class EcimTrace:
     remaining rows alternate rows ``stop_index - 2`` and
     ``stop_index - 1``; their ``gm_norms`` are then not zero. Steps are
     computed by the block, so a run may have computed a few steps past it.
+    A run with a ``tol`` (the trust region's inexact variant, see
+    ``run_ecim``) keeps only the steps it computed: ``stop_index`` of them,
+    with the energies of s(0..stop_index) and no iterates.
     """
 
     iterates: np.ndarray | None
@@ -145,6 +148,7 @@ def run_ecim(
     config: EcimConfig,
     s0: np.ndarray | None = None,
     keep_iterates: bool = False,
+    tol: float | None = None,
 ) -> EcimTrace:
     """Run the machine for ``config.iterations`` steps.
 
@@ -173,13 +177,36 @@ def run_ecim(
     keep_iterates : bool, optional
         Keep the (K + 1, n) iterate trace, which ``gm_norms``,
         ``averaged_iterate_at`` and ``estimate_mu_p`` read.
+    tol : float, optional
+        None, the default, runs the paper's machine. A number runs the trust
+        region's inexact variant instead, which is not the paper's machine
+        (the bounds the harness checks are proven for the plain step). Step
+        k is the same projected step, with the same step sizes and noise,
+        taken from ``y(k)`` instead of ``s(k)``, and ``y(k+1) = clip(s(k+1)
+        + (t_k - 1) / t_(k+1) * (s(k+1) - s(k)))`` (FISTA, Beck & Teboulle
+        2009); the clip zeroes the momentum of the coordinates of s(k+1) on
+        a wall, since they moved onto it. The momentum restarts (``t = 1``,
+        ``y = s``) when ``(y(k) - s(k+1)) . (s(k+1) - s(k)) > 0``
+        (O'Donoghue & Candes 2015). The run starts at ``s0``, or at 0 when
+        it is None, and stops at the first step whose gradient-mapping norm
+        ``||y(k) - s(k+1)|| / beta_k`` is at most ``tol``, so a zero ``tol``
+        stops only at an exact fixed point, or after K steps. The best
+        iterate is the first of least energy among the start and every
+        s(k) computed. It keeps no iterates.
 
     Raises
     ------
     DivergenceError
         When any iterate's energy is non-finite or beyond the divergence
         limit; carries the offending iteration index.
+    ValueError
+        For a negative or non-finite ``tol``, or a ``tol`` with
+        ``keep_iterates``.
     """
+    if tol is not None:
+        if keep_iterates:
+            raise ValueError("keep_iterates needs the paper's machine, tol=None")
+        return _run_accelerated(model, config, s0, tol)
     n = model.dim
     delta = model.delta
     K = config.iterations
@@ -324,4 +351,87 @@ def run_ecim(
         best_energy=best_energy,
         best_iterate=best_iterate,
         stop_index=stop_index,
+    )
+
+
+def _run_accelerated(
+    model: QuadraticModel, config: EcimConfig, s0: np.ndarray | None, tol: float
+) -> EcimTrace:
+    """``run_ecim`` with a ``tol``: the trust region's inexact variant."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    n = model.dim
+    delta = model.delta
+    s = np.zeros(n) if s0 is None else project_box(s0, delta)
+    if s.shape != (n,):
+        raise ValueError(f"s0 shape {s.shape}, expected ({n},)")
+    betas = step_sizes(config, model)
+    sigma = math.sqrt(config.sigma2)
+    rng = np.random.default_rng(config.seed) if sigma > 0.0 else None
+    S = model.symmetric_coupling()
+    h = model.field
+    lower = np.full(n, -delta)
+    upper = np.full(n, delta)
+    tol_sq = tol * tol
+
+    def energy_at(x: np.ndarray) -> float:
+        # The formula of run_ecim, from the gradient at x.
+        gx = np.dot(S, x)
+        gx += h
+        return 0.5 * (float(x @ gx) + float(x @ h))
+
+    energies = [energy_at(s)]
+    best_index, best = 0, s
+    steps = len(betas)
+    # y is the point the next step starts from; g holds its scaled gradient,
+    # d the gradient mapping times beta, and v the momentum.
+    y = s.copy()
+    g = np.empty(n)
+    d = np.empty(n)
+    v = np.empty(n)
+    t = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, beta in enumerate(betas.tolist()):
+            np.dot(S, y, out=g)
+            np.add(g, h, g)
+            if rng is not None:
+                z = rng.normal(0.0, sigma, n)
+                if config.modulate_noise:
+                    z *= beta
+                np.subtract(g, z, g)
+            np.multiply(g, beta, g)
+            s_next = y - g
+            np.maximum(s_next, lower, out=s_next)
+            np.minimum(s_next, upper, out=s_next)
+            e = energy_at(s_next)
+            if not abs(e) <= DIVERGENCE_LIMIT:
+                raise DivergenceError(k + 1, e)
+            energies.append(e)
+            if e < energies[best_index]:
+                best_index, best = k + 1, s_next
+            np.subtract(y, s_next, d)
+            if float(d @ d) <= tol_sq * beta * beta:
+                steps = k + 1
+                break
+            np.subtract(s_next, s, v)
+            if float(d @ v) > 0.0:
+                t = 1.0
+                np.copyto(y, s_next)
+            else:
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                np.multiply(v, (t - 1.0) / t_next, v)
+                np.add(s_next, v, y)
+                np.maximum(y, lower, out=y)
+                np.minimum(y, upper, out=y)
+                t = t_next
+            s = s_next
+
+    return EcimTrace(
+        iterates=None,
+        energies=np.array(energies),
+        betas=betas[:steps],
+        best_index=best_index,
+        best_energy=energies[best_index],
+        best_iterate=best,
+        stop_index=steps,
     )

@@ -3,12 +3,14 @@
 Each outer iteration builds the local quadratic model, hands it to one of
 three interchangeable subproblem backends (the iterative machine, the exact
 ball solver on the inscribed ball, or the grid oracle), and adapts the trust
-radius from the realized-versus-predicted reduction.
+radius from the realized-versus-predicted reduction. The machine backend
+runs the machine's inexact variant with momentum, not the paper's machine.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -19,9 +21,10 @@ from .model import Objective, QuadraticModel, build_subproblem, energy
 from .oracles import NumericalError, exact_ball_minimize, grid_minimize_box
 from .writers import write_csv, write_json
 
-# Predicted reductions smaller than this are indistinguishable from roundoff;
-# the reduction ratio is undefined there.
-DEGENERATE_MODEL_TOL = 1e-14
+# The ratio test subtracts this many ulps of max(1, |f|) from both reductions,
+# so that a predicted decrease lost in roundoff reads as a ratio near 1, not
+# as noise (Conn, Gould & Toint 2000, section 17.4.2).
+ROUNDOFF_ULPS = 10.0
 
 # Keeps the radius constructible after long runs of rejected iterations.
 _DELTA_FLOOR = 1e-300
@@ -52,14 +55,18 @@ SubproblemSolver = Union[EcimConfig, ExactBallSolver, GridSolver]
 class TrustRegionConfig:
     """Outer-loop hyperparameters.
 
-    ``mu`` is the rejection threshold and ``1 - mu`` the growth threshold of
-    the radius update; ``eta`` is the acceptance threshold. ``gtol`` of None
+    ``eta`` is the acceptance threshold: a step is accepted when the
+    reduction ratio exceeds it, and every rejected step shrinks the radius.
+    ``mu`` sets only the growth threshold ``1 - mu``. The paper rejects
+    without shrinking for ratios in ``[mu, eta]``; that dead band lets a
+    deterministic solver return the same step forever, so it is not kept
+    (Nocedal & Wright, Alg. 4.1). ``gtol`` of None
     disables the gradient-norm early stop. ``scaling`` is the diagonal of an
     elliptical scaling D: every subproblem is solved in ``u = D s``
     coordinates, where the box ``|u_i| <= delta`` bounds ``||D s||_inf``. Its
     entries must be positive and finite, and its shape that of ``theta0``.
-    With ``warm_start`` the machine starts from the previous step instead of
-    a fresh random point.
+    The machine starts from 0, or with ``warm_start`` from the previous
+    step.
     """
 
     delta0: float = 1.0
@@ -96,10 +103,11 @@ class TrustRegionConfig:
 def update_radius(
     rho: float, delta: float, step_inf_norm: float, config: TrustRegionConfig
 ) -> float:
-    """Next trust radius: shrink below ``mu``, grow above ``1 - mu`` when the
-    step touched the box boundary, otherwise keep. A nan ratio (failed solve,
-    degenerate or non-decreasing model step) shrinks."""
-    if not rho >= config.mu:
+    """Next trust radius: shrink on every rejection (a ratio not above
+    ``eta``, nan included: a failed solve or a model step that predicts no
+    decrease), grow above ``1 - mu`` when the step touched the box boundary,
+    otherwise keep."""
+    if not rho > config.eta:
         return SHRINK_FACTOR * delta
     on_boundary = abs(step_inf_norm - delta) <= BOUNDARY_TOL * max(1.0, delta)
     if rho > 1.0 - config.mu and on_boundary:
@@ -122,6 +130,15 @@ def solve_subproblem(
     ``s = D^-1 u``; ``s0`` is given in u coordinates, and a scaling of
     another shape raises ``ValueError``. Returns ``(step, value)`` with the
     value measured by the unscaled model.
+
+    The machine backend is an inexact solver: ``run_ecim`` with a ``tol``,
+    the machine's step with momentum, started at ``s0`` or at 0, stopped at
+    the first step whose gradient-mapping norm is at most ``min(0.1, ||h||)
+    ||h||`` (a forcing term, Dembo, Eisenstat & Steihaug 1982), h the
+    working model's field. From 0 its first step is the projected 1/L step,
+    a Cauchy-like point, and the best iterate it returns is never worse than
+    that step or than 0. Started at 0 without noise, a zero field stops it
+    there after one step.
     """
     work = model
     if scaling is not None:
@@ -134,7 +151,10 @@ def solve_subproblem(
             model.coupling * np.outer(inv, inv), model.field * inv, model.delta
         )
     if isinstance(solver, EcimConfig):
-        trace = run_ecim(work, replace(solver, seed=seed), s0=s0)
+        h_norm = float(np.linalg.norm(work.field))
+        trace = run_ecim(
+            work, replace(solver, seed=seed), s0, tol=min(0.1, h_norm) * h_norm
+        )
         u = trace.best_iterate
     elif isinstance(solver, ExactBallSolver):
         u = exact_ball_minimize(work).s_star
@@ -149,8 +169,8 @@ def solve_subproblem(
 @dataclass
 class TrustRegionRecord:
     """One outer iteration. ``step`` is None when the solver failed; ``rho``
-    is nan for rejected-degenerate and failed iterations, and -inf when the
-    objective is not finite at the trial point."""
+    is nan when the solver failed or the model predicts no decrease, and
+    -inf when the objective is not finite at the trial point."""
 
     t: int
     theta: np.ndarray
@@ -243,13 +263,18 @@ def itrust(
 
     Each iteration solves the box subproblem of half-width ``delta_t``,
     measures the reduction ratio, adapts the radius, and accepts the step
-    only when the ratio exceeds ``eta``. Iterations whose predicted
-    reduction is non-negative or degenerate, iterations whose solver
-    diverged, and iterations whose trial value is not finite (ratio -inf,
-    as in Conn, Gould & Toint, section 6.1) are rejected with a radius
-    shrink. The gradient and the Hessian are evaluated once per accepted
-    point: a rejected iteration reuses them. A machine backend is reseeded
-    per iteration (base seed plus t) so runs are reproducible.
+    only when the ratio exceeds ``eta``; every rejection shrinks the radius.
+    For a predicted decrease ``mval < 0`` the ratio is
+    ``((f_trial - f) - eps_f) / (mval - eps_f)`` with
+    ``eps_f = ROUNDOFF_ULPS * eps * max(1, |f|)`` (Conn, Gould & Toint,
+    section 17.4.2), so a step whose reductions are both lost in roundoff
+    reads near 1. Iterations whose model predicts no decrease, iterations
+    whose solver diverged, and iterations whose trial value is not finite
+    (ratio -inf, as in Conn, Gould & Toint, section 6.1) are rejected. The
+    gradient and the Hessian are evaluated once per accepted point: a
+    rejected iteration reuses them. A machine backend is reseeded per
+    iteration (base seed plus t) so runs are reproducible; without noise it
+    starts from 0 and draws nothing, so the seed does not matter.
 
     Raises
     ------
@@ -290,12 +315,12 @@ def itrust(
         if config.warm_start and previous_step is not None:
             s0 = previous_step if scaling is None else scaling * previous_step
 
-        # rho is the realized over the predicted reduction. A failed solve, or
-        # a predicted reduction that is non-negative or degenerate, leaves rho
-        # nan, and a non-finite trial value sets it to -inf: the step is
-        # rejected and the radius shrinks. The trial value is evaluated once,
-        # and only for a predicted decrease; on acceptance it becomes the
-        # current value.
+        # rho is the realized over the predicted reduction, both less a
+        # roundoff floor. A failed solve, or a model that predicts no
+        # decrease, leaves rho nan, and a non-finite trial value sets it to
+        # -inf: the step is rejected and the radius shrinks. The trial value
+        # is evaluated once, and only for a predicted decrease; on acceptance
+        # it becomes the current value.
         rho = math.nan
         try:
             step, mval = solve_subproblem(
@@ -308,10 +333,14 @@ def itrust(
             # actually lives.
             u = step if scaling is None else scaling * step
             step_inf = float(np.max(np.abs(u)))
-            if not (mval >= 0.0 or abs(mval) < DEGENERATE_MODEL_TOL):
+            if mval < 0.0:
                 trial = theta + step
                 f_trial = objective.value(trial)
-                rho = (f_trial - f_cur) / mval if math.isfinite(f_trial) else -math.inf
+                if math.isfinite(f_trial):
+                    floor = ROUNDOFF_ULPS * sys.float_info.epsilon * max(1.0, abs(f_cur))
+                    rho = ((f_trial - f_cur) - floor) / (mval - floor)
+                else:
+                    rho = -math.inf
 
         accepted = rho > config.eta
         records.append(

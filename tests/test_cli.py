@@ -173,6 +173,20 @@ def test_solve_exact_ball_backend(tmp_path):
     assert payload["converged"] is True
 
 
+def test_solve_rosenbrock_exact_ball_converges_at_defaults(tmp_path):
+    # At the default mu = 0.1, eta = 0.75 a ratio in [mu, eta] used to reject
+    # without shrinking, and the exact solver then returned the same step:
+    # 91 of 100 steps rejected, unconverged. Every rejection now shrinks.
+    argv = ["solve", "--problem", "rosenbrock2", "--solver", "exact-ball"]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    payload = json.loads(
+        (tmp_path / "solve-rosenbrock2-exact-ball-seed0.summary.json").read_text()
+    )
+    assert payload["converged"] is True
+    assert payload["iterations"] < 100
+    assert np.allclose(payload["theta"], [1.0, 1.0], atol=1e-6)
+
+
 def test_solve_divergent_machine_fails_every_iteration_and_shrinks(tmp_path):
     # A huge fixed step on a huge radius blows up every subproblem. Each
     # diverged solve is a failed, rejected iteration that shrinks the radius;

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from itrust import (
+    DivergenceError,
     EcimConfig,
     ExactBallSolver,
     GridSolver,
@@ -17,14 +19,21 @@ from itrust import (
     energy,
     get_problem,
     itrust,
+    problem_suite,
+    project_box,
     random_box_quadratic,
+    run_ecim,
     solve_subproblem,
+    step_sizes,
     update_radius,
 )
+from tests.reference import ecim_step
 
-# Small acceptance threshold: the reject-without-shrink band between mu and
-# eta can trap a deterministic solver on nonconvex objectives (see README).
+# Small acceptance threshold: every useful step is taken.
 TUNED = dict(mu=0.01, eta=0.05)
+
+# The benchmark's thresholds (acceptance criterion 9).
+SUITE = dict(iterations=500, gtol=2e-7, mu=0.01, eta=0.05)
 
 
 def quadratic_objective(A, b):
@@ -59,15 +68,46 @@ def test_update_radius_grows_only_on_boundary():
 
 
 def test_update_radius_keeps_in_middle_band():
+    # Accepted (above eta = 0.75) but not above 1 - mu = 0.9: keep.
     config = TrustRegionConfig()
-    assert update_radius(0.5, 1.0, 1.0, config) == 1.0
     assert update_radius(0.85, 1.0, 0.2, config) == 1.0
+    assert update_radius(0.85, 1.0, 1.0, config) == 1.0
+
+
+def test_update_radius_shrinks_on_every_rejection():
+    # A ratio not above eta rejects the step, and every rejection shrinks,
+    # on the boundary or inside it: there is no band in [mu, eta] that keeps
+    # the radius.
+    config = TrustRegionConfig()
+    for rho in (-math.inf, -0.5, 0.0, 0.1, 0.5, 0.75, math.nan):
+        for step_inf in (1.0, 0.2):
+            assert update_radius(rho, 1.0, step_inf, config) == 0.25, rho
 
 
 def test_update_radius_boundary_tolerance_scales():
     config = TrustRegionConfig()
     assert update_radius(0.99, 10.0, 10.0 - 1e-9, config) == 20.0
     assert update_radius(0.99, 10.0, 10.0 - 1e-3, config) == 10.0
+
+
+def test_ratio_floor_accepts_a_decrease_lost_in_roundoff():
+    # At theta = 1e-9 on 1 + 0.5 theta^2 the model predicts a decrease of
+    # 5e-19, far below the roundoff of f = 1: f_trial - f reads 0. Less the
+    # floor, both reductions read the same, so the ratio is 1 and the step
+    # is taken; without it the ratio would be 0, or nan for a tiny model
+    # value, and the radius would shrink toward 0.
+    obj = Objective(
+        dim=1,
+        value=lambda t: 1.0 + 0.5 * float(t @ t),
+        gradient=lambda t: np.array(t, dtype=float),
+        hessian=lambda t: np.eye(1),
+    )
+    config = TrustRegionConfig(iterations=1, solver=ExactBallSolver(), gtol=None)
+    trace = itrust(obj, config, np.array([1e-9]))
+    first = trace.records[0]
+    assert -1e-18 < first.model_value < 0.0
+    assert first.rho == pytest.approx(1.0, abs=1e-3)
+    assert first.accepted and trace.theta_final[0] == 0.0
 
 
 def test_reduction_ratio_exact_for_quadratic():
@@ -111,17 +151,47 @@ def test_solvers_agree_on_zero_field():
 
 
 def test_machine_matches_references_on_random_subproblems():
+    # The paper's machine; solve_subproblem's inexact backend is checked in
+    # tests/test_subproblem_properties.py.
     from itrust import grid_minimize_box
 
     for seed in range(10):
         model = random_box_quadratic(2, seed=seed, kind="psd")
-        _, e_ecim = solve_subproblem(
-            model, EcimConfig(iterations=4000, sigma2=0.0), seed=seed
-        )
+        e_ecim = run_ecim(
+            model, EcimConfig(iterations=4000, sigma2=0.0, seed=seed)
+        ).best_energy
         _, e_ball = solve_subproblem(model, ExactBallSolver(), seed=seed)
         grid = grid_minimize_box(model, resolution=0.005, polish_steps=400)
         assert e_ecim <= e_ball + 1e-6, f"seed {seed}"
         assert abs(e_ecim - grid.value) <= 1e-4, f"seed {seed}"
+
+
+def test_machine_backend_stops_at_forcing_tolerance(monkeypatch):
+    # Condition number 1000 and an interior minimum: the plain 1/L step needs
+    # thousands of steps to bring the gradient mapping within the forcing
+    # tolerance; momentum needs a few hundred, and the run stops there.
+    traces = []
+
+    def spy(*args, **kwargs):
+        traces.append(run_ecim(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr("itrust.trust_region.run_ecim", spy)
+    # ||h|| = 0.042 sets the tolerance ||h||^2 = 1.8e-3; the soft coordinate
+    # (curvature 1, step 1/1000) takes about 2800 plain steps to reach it.
+    h = np.array([-0.03, 0.03])
+    model = QuadraticModel(np.diag([1.0, 1000.0]), h, delta=1.0)
+    step, value = solve_subproblem(model, EcimConfig(iterations=3000), seed=0)
+    (trace,) = traces
+    assert trace.stop_index < 500
+    s_star = np.array([0.03, -3e-5])
+    assert np.linalg.norm(step - s_star) <= 2e-3
+    assert value - energy(model, s_star) <= 1e-5
+    # A zero field, where 0 is stationary, stops the run after one step.
+    model = QuadraticModel(np.diag([1.0, -2.0]), np.zeros(2), delta=1.0)
+    step, value = solve_subproblem(model, EcimConfig(iterations=3000), seed=0)
+    assert traces[-1].stop_index == 1
+    assert np.all(step == 0.0) and value == 0.0
 
 
 def test_solve_subproblem_rejects_unknown_solver():
@@ -237,22 +307,47 @@ def test_loop_invariants_on_noisy_run():
             assert trace.records[i + 1].delta == pytest.approx(0.25 * r.delta)
 
 
-def test_dead_band_rejection_keeps_radius():
-    # Ratios between mu and eta reject the step without shrinking the radius.
+def test_every_rejection_shrinks_radius():
+    # Ratios between mu and eta reject the step and shrink the radius, as
+    # every other rejection does (the paper keeps the radius there).
     p = get_problem("rosenbrock2")
     config = TrustRegionConfig(
         solver=ExactBallSolver(), iterations=14, gtol=None, mu=0.1, eta=0.75
     )
     trace = itrust(p.objective, config, p.start)
-    banded = [
-        i
-        for i, r in enumerate(trace.records[:-1])
-        if not math.isnan(r.rho) and config.mu <= r.rho <= config.eta
-    ]
+    records = trace.records
+    banded = [r for r in records if config.mu <= r.rho <= config.eta]
     assert banded, "expected at least one in-band rejection on this start"
-    for i in banded:
-        assert not trace.records[i].accepted
-        assert trace.records[i + 1].delta == trace.records[i].delta
+    for r, after in zip(records, records[1:]):
+        assert r.accepted == (r.rho > config.eta)
+        if not r.accepted:
+            assert after.delta == 0.25 * r.delta
+
+
+@pytest.mark.parametrize("backend", ["exact-ball", "ecim"])
+def test_suite_multistart_converges(backend):
+    # Sixteen starts per suite problem from start + N(0, 0.5^2), at the
+    # benchmark's thresholds. Before the ratio floor and shrink-on-reject,
+    # 4 of these 128 exact-ball solves (rosenbrock10) and 1 machine solve
+    # (rosenbrock2) cycled to the iteration cap.
+    rng = np.random.default_rng(101)
+    solver = (
+        ExactBallSolver()
+        if backend == "exact-ball"
+        else EcimConfig(iterations=3000, sigma2=0.0, seed=11)
+    )
+    failed = []
+    for p in problem_suite():
+        for _ in range(16):
+            theta0 = p.start + rng.normal(0.0, 0.5, p.start.shape)
+            config = TrustRegionConfig(solver=solver, scaling=p.scaling, **SUITE)
+            trace = itrust(p.objective, config, theta0)
+            theta = trace.theta_final
+            grad_norm = np.linalg.norm(p.objective.gradient(theta))
+            min_eig = np.linalg.eigvalsh(p.objective.hessian(theta))[0]
+            if not (trace.converged and grad_norm <= 1e-6 and min_eig >= -1e-6):
+                failed.append((p.name, trace.n_iterations))
+    assert not failed
 
 
 def test_solver_failure_shrinks_and_recovers():
@@ -435,3 +530,110 @@ def test_trace_serialization(tmp_path):
     assert payload["converged"] == trace.converged
     assert len(payload["records"]) == trace.n_iterations
     assert payload["theta_final"] == trace.theta_final.tolist()
+
+
+# ---------------------------------------------------------------------------
+# The machine backend: momentum with restart and a tolerance stop
+
+
+def _reference_accelerated_run(model, config, s0, tol):
+    """Step by step: each projected step taken from y(k), the restart test,
+    the momentum explicitly zeroed at the walls (the package leaves that to
+    the clip), and the stop at the first step whose gradient mapping
+    ||y(k) - s(k+1)|| / beta_k is at most tol. Returns the rows s(0..k) of
+    the steps computed."""
+    rng = np.random.default_rng(config.seed)
+    n, K, delta = model.dim, config.iterations, model.delta
+    betas = step_sizes(config, model)
+    noise = np.zeros((K, n))
+    if config.sigma2 > 0.0:
+        noise = rng.normal(0.0, math.sqrt(config.sigma2), (K, n))
+    s = y = project_box(s0, delta)
+    t = 1.0
+    rows = [s]
+    for k in range(K):
+        s_next = ecim_step(model, y, betas[k], noise[k])
+        rows.append(s_next)
+        d = y - s_next
+        if d @ d <= (tol * betas[k]) ** 2:
+            break
+        if d @ (s_next - s) > 0.0:
+            t, y = 1.0, s_next
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            v = (s_next - s) * ((t - 1.0) / t_next)
+            v[np.abs(s_next) >= delta] = 0.0
+            t, y = t_next, project_box(s_next + v, delta)
+        s = s_next
+    return rows
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-3])
+def test_inexact_machine_matches_step_by_step_reference(tol):
+    # Short and long horizons, kinds with walls and with an interior minimum,
+    # with and without noise.
+    runs = itertools.product(
+        (21, 300),
+        enumerate(((2, "psd"), (4, "indefinite"), (7, "pl"), (3, "strongly-convex"))),
+        (0.0, 1e-4),
+    )
+    stopped = 0
+    for K, (seed, (n, kind)), sigma2 in runs:
+        model = random_box_quadratic(n, seed, kind=kind)
+        config = EcimConfig(sigma2=sigma2, iterations=K, seed=seed)
+        rows = _reference_accelerated_run(model, config, np.zeros(n), tol)
+        trace = run_ecim(model, config, tol=tol)
+        steps = trace.stop_index
+        assert steps == len(rows) - 1
+        stopped += steps < K
+        # The trace keeps the steps computed: their step sizes, and the
+        # energies of the rows, up to the roundoff of the two formulas.
+        assert trace.iterates is None
+        assert trace.betas.tobytes() == step_sizes(config, model)[:steps].tobytes()
+        energies = [energy(model, r) for r in rows]
+        assert np.allclose(trace.energies, energies, rtol=1e-12, atol=1e-15)
+        assert trace.best_iterate.tobytes() == rows[trace.best_index].tobytes()
+        assert trace.best_energy == trace.energies[trace.best_index]
+        assert trace.best_index == int(np.argmin(trace.energies))
+    # The positive tolerance stops most runs early.
+    assert tol == 0.0 or stopped >= 8
+
+
+def test_inexact_machine_stops_at_the_tolerance():
+    # The minimizer (0.25, -0.25) is inside the box. The stop at tol 1e-6
+    # leaves the gradient mapping of its last step within tol.
+    model = QuadraticModel(np.diag([1.0, 3.0]), np.array([-0.25, 0.75]), delta=0.5)
+    config = EcimConfig(iterations=500)
+    trace = run_ecim(model, config, tol=1e-6)
+    assert 1 <= trace.stop_index < 100
+    assert len(trace.energies) == trace.stop_index + 1
+    assert np.allclose(trace.best_iterate, [0.25, -0.25], atol=1e-6)
+    # The paper's machine reaches that point in more steps and keeps going.
+    plain = run_ecim(model, config, np.zeros(2))
+    assert plain.stop_index > trace.stop_index
+
+
+def test_inexact_machine_without_tolerance_stops_only_at_a_fixed_point():
+    # A zero field from 0 is a fixed point: one step. Condition number 1000
+    # keeps the run off any fixed point for 50 steps, so tol = 0 runs to K.
+    zero_field = QuadraticModel(np.diag([1.0, -2.0]), np.zeros(2), delta=1.0)
+    trace = run_ecim(zero_field, EcimConfig(iterations=3000), tol=0.0)
+    assert trace.stop_index == 1
+    assert np.all(trace.best_iterate == 0.0)
+    model = QuadraticModel(np.diag([1.0, 1000.0]), np.array([-0.03, 0.03]), delta=1.0)
+    config = EcimConfig(iterations=50)
+    assert run_ecim(model, config, tol=0.0).stop_index == 50
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            run_ecim(model, config, tol=bad)
+    with pytest.raises(ValueError, match="keep_iterates"):
+        run_ecim(model, config, keep_iterates=True, tol=0.0)
+
+
+def test_inexact_machine_divergence_raises():
+    # A huge fixed step on a huge box: the first step's energy is out of range.
+    model = QuadraticModel(np.eye(2), np.ones(2), delta=1e10)
+    config = EcimConfig(beta0=1e8, iterations=100)
+    with pytest.raises(DivergenceError) as info:
+        run_ecim(model, config, tol=0.0)
+    assert info.value.iteration == 1
