@@ -1,10 +1,12 @@
 """Command-line interface: solves, bound verification, rate fits, oracle
 comparisons.
 
-Every command but list-problems writes a deterministic report: CSV reports
-are byte-identical for identical configs and seeds, JSON reports identical
-up to their ``timestamp`` field. Rows carry the seed and a hash of the
-resolved options so reports remain attributable when files are moved around.
+Every command but list-problems writes one report of two files through
+``_write_report``: its rows as CSV, byte-identical for identical options and
+seeds, and a summary JSON, identical up to its ``timestamp`` field. The
+summary holds the command's verdict fields, its options (``config``) and a
+hash of them (``config_hash``); campaign rows end with the same hash, so
+reports remain attributable when files are moved around.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 error.
@@ -56,7 +58,7 @@ SUBLINEAR_SLOPE_BAND = (-0.7, -0.4)
 
 # Options that shape the output location, not the experiment itself; they
 # stay out of the config hash.
-_NON_EXPERIMENT_KEYS = {"out", "format"}
+_NON_EXPERIMENT_KEYS = {"out"}
 
 
 class InsufficientDataError(ValueError):
@@ -116,8 +118,10 @@ def _parse_ints(spec: str) -> list[int]:
         if not part:
             continue
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"reversed range {part!r}")
+            values.extend(range(lo, hi + 1))
         else:
             values.append(int(part))
     if not values:
@@ -140,32 +144,45 @@ def _config_hash(options: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _write_report(options: dict, name: str, rows: list[dict], summary: dict):
-    """Write a campaign report and return its path and failed-row count.
+def _write_report(
+    options: dict, stem: str, write_rows, summary: dict, rows_suffix: str = ".csv"
+) -> tuple[str, str]:
+    """Write a command's report and return the paths of its two files:
+    ``<stem><rows_suffix>``, written by ``write_rows(path)``, and
+    ``<stem>.summary.json``, the summary plus the experiment options
+    (``config``), their ``config_hash`` and a ``timestamp``."""
+    out_dir = options["out"]
+    os.makedirs(out_dir, exist_ok=True)
+    rows_path = os.path.join(out_dir, stem + rows_suffix)
+    write_rows(rows_path)
+    summary_path = os.path.join(out_dir, f"{stem}.summary.json")
+    payload = {
+        **summary,
+        "config": _experiment_options(options),
+        "config_hash": _config_hash(options),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    }
+    write_json(summary_path, payload)
+    return rows_path, summary_path
+
+
+def _write_campaign(options: dict, stem: str, rows: list[dict], summary: dict):
+    """Write a campaign's report and return its paths and failed-row count.
 
     Every row gets the config hash as its last column; the CSV columns are
-    the row keys in order. The JSON summary gains ``rows`` and ``failed``.
+    the row keys in order. The summary gains ``rows`` and ``failed``.
     """
     hash_ = _config_hash(options)
     for row in rows:
         row["config_hash"] = hash_
     n_failed = sum(1 for row in rows if not row["passed"])
-    out_dir, fmt = options["out"], options["format"]
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{name}.{fmt}")
-    if fmt == "csv":
-        write_csv(path, list(rows[0]), (row.values() for row in rows))
-    else:
-        payload = {
-            "command": name,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "config": _experiment_options(options),
-            "config_hash": hash_,
-            "rows": rows,
-            "summary": {"rows": len(rows), "failed": n_failed, **summary},
-        }
-        write_json(path, payload)
-    return path, n_failed
+    paths = _write_report(
+        options,
+        stem,
+        lambda path: write_csv(path, list(rows[0]), (row.values() for row in rows)),
+        {"rows": len(rows), "failed": n_failed, **summary},
+    )
+    return paths, n_failed
 
 
 def _solver_spec(options: dict):
@@ -211,7 +228,6 @@ def cmd_solve(options: dict) -> int:
         "problem": problem.name,
         "solver": options["solver"],
         "seed": options["seed"],
-        "config_hash": _config_hash(options),
         "theta": [float(v) for v in theta],
         "f": problem.objective.value(theta),
         "grad_norm": grad_norm,
@@ -220,17 +236,9 @@ def cmd_solve(options: dict) -> int:
         "converged": trace.converged,
     }
 
-    out_dir = options["out"]
-    os.makedirs(out_dir, exist_ok=True)
     stem = f"solve-{problem.name}-{options['solver']}-seed{options['seed']}"
-    trace_path = os.path.join(out_dir, f"{stem}.trace.{options['format']}")
-    if options["format"] == "csv":
-        trace.to_csv(trace_path)
-    else:
-        trace.to_json(trace_path)
-    summary_path = os.path.join(out_dir, f"{stem}.summary.json")
-    write_json(
-        summary_path, {**summary, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    trace_path, summary_path = _write_report(
+        options, stem, trace.to_csv, summary, rows_suffix=".trace.csv"
     )
 
     print(
@@ -371,11 +379,12 @@ def cmd_verify_bounds(options: dict) -> int:
     seeds = options["seeds"]
     rows = [row for seed in seeds for row in _verify_cell(options, seed)]
     rows.sort(key=lambda r: (r["check"], r["instance"], r["seed"], r["K"]))
-    path, n_failed = _write_report(
+    (csv_path, json_path), n_failed = _write_campaign(
         options, f"verify-bounds-n{options['n']}", rows, {"seeds": len(seeds)}
     )
     print(f"{len(rows)} checks, {n_failed} failed")
-    print(f"report: {path}")
+    print(f"report: {csv_path}")
+    print(f"summary: {json_path}")
     return EXIT_OK if n_failed == 0 else EXIT_VERIFICATION_FAILED
 
 
@@ -449,7 +458,7 @@ def cmd_rate_fit(options: dict) -> int:
         "pooled_slope": pooled_fit.slope,
         "pooled_r_squared": pooled_fit.r_squared,
     }
-    path, n_failed = _write_report(
+    (csv_path, json_path), n_failed = _write_campaign(
         options, f"rate-fit-fixed-horizon-n{options['n']}", rows, summary
     )
     for r in rows:
@@ -462,7 +471,8 @@ def cmd_rate_fit(options: dict) -> int:
         "the verdict pools them"
     )
     print(f"pooled slope = {summary['pooled_slope']:.3f}")
-    print(f"report: {path}")
+    print(f"report: {csv_path}")
+    print(f"summary: {json_path}")
     return EXIT_OK if verdict else EXIT_VERIFICATION_FAILED
 
 
@@ -513,14 +523,15 @@ def cmd_compare_oracles(options: dict) -> int:
     rows = [_compare_cell(options, i) for i in range(options["count"])]
     rows.sort(key=lambda r: (r["instance"], r["seed"]))
     ratios = [r["coherence_ratio"] for r in rows if not math.isnan(r["coherence_ratio"])]
-    path, n_failed = _write_report(
+    (csv_path, json_path), n_failed = _write_campaign(
         options,
         "compare-oracles",
         rows,
         {"min_coherence_ratio": min(ratios) if ratios else math.nan},
     )
     print(f"{len(rows)} subproblems, {n_failed} failed")
-    print(f"report: {path}")
+    print(f"report: {csv_path}")
+    print(f"summary: {json_path}")
     return EXIT_OK if n_failed == 0 else EXIT_VERIFICATION_FAILED
 
 
@@ -544,9 +555,6 @@ def cmd_list_problems(options: dict) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="reports", help="report directory")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="report format"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

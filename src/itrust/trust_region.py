@@ -16,10 +16,10 @@ from typing import Union
 
 import numpy as np
 
-from .ecim import DivergenceError, EcimConfig, run_ecim
+from .ecim import DivergenceError, EcimConfig, project_box, run_ecim
 from .model import Objective, QuadraticModel, build_subproblem, energy
 from .oracles import NumericalError, exact_ball_minimize, grid_minimize_box
-from .writers import write_csv, write_json
+from .writers import write_csv
 
 # The ratio test subtracts this many ulps of max(1, |f|) from both reductions,
 # so that a predicted decrease lost in roundoff reads as a ratio near 1, not
@@ -66,7 +66,7 @@ class TrustRegionConfig:
     coordinates, where the box ``|u_i| <= delta`` bounds ``||D s||_inf``. Its
     entries must be positive and finite, and its shape that of ``theta0``.
     The machine starts from 0, or with ``warm_start`` from the previous
-    step.
+    step when that point, clipped to the box, has negative model energy.
     """
 
     delta0: float = 1.0
@@ -132,13 +132,14 @@ def solve_subproblem(
     value measured by the unscaled model.
 
     The machine backend is an inexact solver: ``run_ecim`` with a ``tol``,
-    the machine's step with momentum, started at ``s0`` or at 0, stopped at
+    the machine's step with momentum, started at ``s0`` clipped to the box
+    when its working-model energy is below E(0) = 0, else at 0, stopped at
     the first step whose gradient-mapping norm is at most ``min(0.1, ||h||)
     ||h||`` (a forcing term, Dembo, Eisenstat & Steihaug 1982), h the
     working model's field. From 0 its first step is the projected 1/L step,
     a Cauchy-like point, and the best iterate it returns is never worse than
-    that step or than 0. Started at 0 without noise, a zero field stops it
-    there after one step.
+    that step; from either start it is never worse than 0. Started at 0
+    without noise, a zero field stops it there after one step.
     """
     work = model
     if scaling is not None:
@@ -151,6 +152,10 @@ def solve_subproblem(
             model.coupling * np.outer(inv, inv), model.field * inv, model.delta
         )
     if isinstance(solver, EcimConfig):
+        if s0 is not None:
+            s0 = project_box(s0, work.delta)
+            if not energy(work, s0) < 0.0:
+                s0 = None
         h_norm = float(np.linalg.norm(work.field))
         trace = run_ecim(
             work, replace(solver, seed=seed), s0, tol=min(0.1, h_norm) * h_norm
@@ -231,29 +236,6 @@ class TrustRegionTrace:
                 for r in self.records
             ),
         )
-
-    def to_json(self, path) -> None:
-        payload = {
-            "converged": bool(self.converged),
-            "theta_final": self.theta_final.tolist(),
-            "records": [
-                {
-                    "t": r.t,
-                    "theta": r.theta.tolist(),
-                    "delta": float(r.delta),
-                    "rho": float(r.rho),
-                    "step": None if r.step is None else r.step.tolist(),
-                    "model_value": float(r.model_value),
-                    "f_value": float(r.f_value),
-                    "accepted": bool(r.accepted),
-                    "grad_norm": float(r.grad_norm),
-                    "step_inf_norm": float(r.step_inf_norm),
-                    "solver_failed": bool(r.solver_failed),
-                }
-                for r in self.records
-            ],
-        }
-        write_json(path, payload)
 
 
 def itrust(

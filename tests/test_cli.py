@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import subprocess
@@ -34,12 +35,23 @@ from itrust.writers import write_csv
 # Helpers
 
 
-def test_parse_seeds():
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_parse_seeds(capsys):
     assert _parse_ints("0-3") == [0, 1, 2, 3]
     assert _parse_ints("1,5,9") == [1, 5, 9]
     assert _parse_ints("4") == [4]
-    with pytest.raises(ValueError):
-        _parse_ints("")
+    for spec in ("", "5-3", "0,5-3"):
+        with pytest.raises(ValueError):
+            _parse_ints(spec)
+    # A reversed range is a usage error, not a shorter list.
+    with pytest.raises(SystemExit) as info:
+        main(["verify-bounds", "--seeds", "0,5-3"])
+    assert info.value.code == EXIT_USAGE
+    assert "--seeds" in capsys.readouterr().err
     # The same parser reads --seeds, --ks and --dims.
     parser = build_parser()
     assert parser.parse_args(["verify-bounds", "--seeds", "0-1"]).seeds == [0, 1]
@@ -75,8 +87,8 @@ def test_fit_linear_decay_recovers_geometric_rate():
 
 
 def test_config_hash_ignores_output_options():
-    base = {"problem": "quad5", "seed": 3, "out": "a", "format": "csv"}
-    moved = {"problem": "quad5", "seed": 3, "out": "b", "format": "json"}
+    base = {"problem": "quad5", "seed": 3, "out": "a"}
+    moved = {"problem": "quad5", "seed": 3, "out": "b"}
     assert _config_hash(base) == _config_hash(moved)
     assert _config_hash({**base, "seed": 4}) != _config_hash(base)
     assert len(_config_hash(base)) == 12
@@ -112,21 +124,20 @@ def test_solve_writes_trace_and_summary(tmp_path, capsys):
     assert run_solve(tmp_path) == EXIT_OK
     trace = tmp_path / "solve-quad2-ecim-seed0.trace.csv"
     summary = tmp_path / "solve-quad2-ecim-seed0.summary.json"
-    assert trace.exists() and summary.exists()
+    assert sorted(tmp_path.iterdir()) == [summary, trace]
     payload = json.loads(summary.read_text())
     assert payload["problem"] == "quad2"
     assert payload["converged"] is True
     assert payload["grad_norm"] <= 1e-8
     assert len(payload["theta"]) == 2
-    assert "config_hash" in payload
+    assert payload["config"]["problem"] == "quad2" and "out" not in payload["config"]
+    assert payload["config_hash"] == _config_hash(payload["config"])
+    assert "timestamp" in payload
+    # The summary counts the iterations the trace records.
+    assert len(read_rows(trace)) == payload["iterations"]
     out = capsys.readouterr().out
     assert "quad2" in out and "converged" in out
-    # A JSON trace records the same iterations.
-    rows = trace.read_text().splitlines()[1:]
-    assert run_solve(tmp_path, "--format", "json") == EXIT_OK
-    payload = json.loads((tmp_path / "solve-quad2-ecim-seed0.trace.json").read_text())
-    assert payload["converged"] is True
-    assert len(payload["records"]) == len(rows)
+    assert f"trace: {trace}" in out and f"summary: {summary}" in out
 
 
 def test_solve_trace_is_byte_deterministic(tmp_path):
@@ -260,6 +271,22 @@ def test_jobs_option_is_gone(tmp_path):
         assert info.value.code == EXIT_USAGE, argv
 
 
+def test_format_option_is_gone(tmp_path):
+    # Every report is one CSV of rows and one summary JSON.
+    out = tmp_path / "reports"
+    for command in (
+        ["solve", "--problem", "quad2"],
+        ["verify-bounds"],
+        ["rate-fit"],
+        ["compare-oracles"],
+    ):
+        for value in ("csv", "json"):
+            with pytest.raises(SystemExit) as info:
+                main([*command, "--format", value, "--out", str(out)])
+            assert info.value.code == EXIT_USAGE, (command, value)
+    assert not out.exists()
+
+
 def test_out_of_range_option_is_usage_error(tmp_path, capsys):
     grid = ["--problem", "illscaled", "--use-scaling", "--solver", "grid"]
     for extra in (
@@ -321,13 +348,15 @@ def test_verify_bounds_without_mu_p_fails_linear_rate(tmp_path, capsys, monkeypa
     # complexity check, which needs mu_p, is not made.
     monkeypatch.setattr(itrust.cli, "estimate_mu_p", lambda trace, e_star: None)
     argv = ["verify-bounds", "--n", "1", "--seeds", "0", "--K", "1000"]
-    rc = main([*argv, "--format", "json", "--out", str(tmp_path)])
+    rc = main([*argv, "--out", str(tmp_path)])
     assert rc == EXIT_VERIFICATION_FAILED
-    rows = json.loads((tmp_path / "verify-bounds-n1.json").read_text())["rows"]
+    rows = read_rows(tmp_path / "verify-bounds-n1.csv")
     linear = [row for row in rows if row["check"] == "linear-rate-bound"]
     assert len(linear) == 1
-    assert linear[0]["observed"] == math.inf and linear[0]["passed"] is False
+    assert linear[0]["observed"] == "inf" and linear[0]["passed"] == "0"
     assert not any(row["check"] == "iteration-complexity" for row in rows)
+    summary = json.loads((tmp_path / "verify-bounds-n1.summary.json").read_text())
+    assert summary["failed"] == 1
     assert "1 failed" in capsys.readouterr().out
 
 
@@ -370,29 +399,33 @@ def test_verify_bounds_json_report(tmp_path):
     # n = 4 is the grid oracle's largest dimension.
     for n in ("2", "4"):
         argv = ["verify-bounds", "--n", n, "--seeds", "0", "--K", "1000"]
-        rc = main([*argv, "--format", "json", "--out", str(tmp_path)])
+        rc = main([*argv, "--out", str(tmp_path)])
         assert rc == EXIT_OK
-        payload = json.loads((tmp_path / f"verify-bounds-n{n}.json").read_text())
-        assert payload["command"].startswith("verify-bounds")
-        assert payload["config_hash"]
-        assert set(payload["config"]) == {"n", "seeds", "K"}
-        assert payload["summary"]["failed"] == 0
-        assert all(row["passed"] for row in payload["rows"])
+        rows = read_rows(tmp_path / f"verify-bounds-n{n}.csv")
+        summary = json.loads((tmp_path / f"verify-bounds-n{n}.summary.json").read_text())
+        assert summary["config_hash"]
+        assert set(summary["config"]) == {"n", "seeds", "K"}
+        assert summary["seeds"] == 1
+        assert summary["rows"] == len(rows) and summary["failed"] == 0
+        assert all(row["passed"] == "1" for row in rows)
 
 
 def test_rate_fit_fixed_horizon_pooled_verdict(tmp_path, capsys):
-    argv = ["rate-fit", "--seeds", "0-1"]
-    argv += ["--ks", "1000,3162,10000,31623", "--format", "json"]
+    argv = ["rate-fit", "--seeds", "0-1", "--ks", "1000,3162,10000,31623"]
     rc = main([*argv, "--out", str(tmp_path)])
-    payload = json.loads((tmp_path / "rate-fit-fixed-horizon-n2.json").read_text())
-    summary = payload["summary"]
-    assert rc == (EXIT_OK if summary["verdict_passed"] else EXIT_VERIFICATION_FAILED)
+    rows = read_rows(tmp_path / "rate-fit-fixed-horizon-n2.csv")
+    summary = json.loads(
+        (tmp_path / "rate-fit-fixed-horizon-n2.summary.json").read_text()
+    )
     lo, hi = SUBLINEAR_SLOPE_BAND
     assert lo <= summary["pooled_slope"] <= hi
-    assert [row["seed"] for row in payload["rows"]] == [0, 1]
+    assert [row["seed"] for row in rows] == ["0", "1"]
     # Seed 1's own fit falls outside the band while the pooled verdict
-    # passes; the summary line says so.
-    assert [row["passed"] for row in payload["rows"]] == [True, False]
+    # passes: the exit code and the summary on disk both record the
+    # verdict, and the summary line says so.
+    assert [row["passed"] for row in rows] == ["1", "0"]
+    assert summary["failed"] == 1 and summary["verdict_passed"] is True
+    assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "1 of 2 per-seed fits outside the band; the verdict pools them" in out
     assert "pooled slope" in out
@@ -461,24 +494,34 @@ def test_compare_oracles_divergent_machine_is_numerical_error(
 
 
 def test_campaign_report_columns(tmp_path):
+    # Each campaign writes exactly its CSV and its summary JSON, and every
+    # row carries the summary's config hash.
     campaigns = {
-        "verify-bounds-n1.csv": (
+        "verify-bounds-n1": (
             ["verify-bounds", "--n", "1", "--seeds", "0", "--K", "1000"],
             "check,instance,seed,K,observed,bound,passed,config_hash",
         ),
-        "rate-fit-fixed-horizon-n2.csv": (
+        "rate-fit-fixed-horizon-n2": (
             ["rate-fit", "--seeds", "0", "--ks", "100,316,1000,3162"],
             "instance,seed,slope,intercept,r_squared,n_points,passed,config_hash",
         ),
-        "compare-oracles.csv": (
+        "compare-oracles": (
             ["compare-oracles", "--count", "1", "--K", "500"],
             "instance,seed,n,kind,ecim_value,ball_value,grid_value,"
             "ecim_minus_ball,ecim_minus_grid,coherence_ratio,passed,config_hash",
         ),
     }
-    for name, (argv, header) in campaigns.items():
-        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
-        assert (tmp_path / name).read_text().splitlines()[0] == header
+    for stem, (argv, header) in campaigns.items():
+        out = tmp_path / stem
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        report, summary = out / f"{stem}.csv", out / f"{stem}.summary.json"
+        assert sorted(out.iterdir()) == [report, summary]
+        assert report.read_text().splitlines()[0] == header
+        payload = json.loads(summary.read_text())
+        rows = read_rows(report)
+        assert {row["config_hash"] for row in rows} == {payload["config_hash"]}
+        assert payload["config_hash"] == _config_hash(payload["config"])
+        assert payload["rows"] == len(rows) and payload["failed"] == 0
 
 
 class RecordingOptions(dict):

@@ -379,16 +379,18 @@ def test_solver_failure_shrinks_and_recovers():
 
 def test_warm_start_runs_and_converges(monkeypatch):
     # quad2 converges in one step, before any warm start; illscaled takes
-    # several, each started from the last step mapped into solver coordinates.
-    starts = []
+    # several. Each later machine run starts at the last step mapped into
+    # solver coordinates and clipped to the box when that point has negative
+    # working-model energy, and at 0 otherwise.
+    runs = []
 
-    def spy(model, solver, seed=None, s0=None, scaling=None):
-        starts.append(s0)
-        return solve_subproblem(model, solver, seed=seed, s0=s0, scaling=scaling)
+    def spy(model, config, s0=None, tol=None):
+        runs.append((model, s0))
+        return run_ecim(model, config, s0, tol=tol)
 
-    monkeypatch.setattr("itrust.trust_region.solve_subproblem", spy)
+    monkeypatch.setattr("itrust.trust_region.run_ecim", spy)
     for name in ("quad2", "illscaled"):
-        starts.clear()
+        runs.clear()
         p = get_problem(name)
         config = TrustRegionConfig(
             solver=EcimConfig(iterations=800, sigma2=0.0, seed=5),
@@ -403,9 +405,34 @@ def test_warm_start_runs_and_converges(monkeypatch):
     assert trace.n_iterations > 1
     assert np.max(np.abs(trace.theta_final - p.theta_star)) <= 1e-6
     records = trace.records
-    assert starts[0] is None and all(r.accepted for r in records)
-    for s0, previous in zip(starts[1:], records):
-        assert np.array_equal(s0, p.scaling * previous.step)
+    assert runs[0][1] is None and all(r.accepted for r in records)
+    warm = 0
+    for (work, s0), previous in zip(runs[1:], records):
+        start = project_box(p.scaling * previous.step, work.delta)
+        if energy(work, start) < 0.0:
+            assert np.array_equal(s0, start)
+            warm += 1
+        else:
+            assert s0 is None
+    assert warm > 0
+
+
+@pytest.mark.parametrize("name", ["rosenbrock2", "rosenbrock10"])
+def test_warm_start_never_predicts_an_increase(name):
+    # At the benchmark's thresholds these runs meet warm points with E > 0
+    # (rosenbrock2 at t = 17 and 18, rosenbrock10 at t = 22, 26 and 27).
+    # Started there, the best iterate can predict an increase, a step
+    # rejected with rho = nan; such a start falls back to 0.
+    p = get_problem(name)
+    config = TrustRegionConfig(
+        solver=EcimConfig(iterations=3000, sigma2=0.0, seed=11),
+        scaling=p.scaling,
+        warm_start=True,
+        **SUITE,
+    )
+    trace = itrust(p.objective, config, p.start)
+    assert trace.converged
+    assert not [r.t for r in trace.records if r.model_value > 0.0]
 
 
 def test_scaling_speeds_up_ill_conditioned_problem():
@@ -520,16 +547,6 @@ def test_trace_serialization(tmp_path):
     lines = p1.read_text().strip().splitlines()
     assert lines[0] == "t,delta,rho,f,grad_norm,model_value,step_inf_norm,accepted,solver_failed"
     assert len(lines) == 16
-
-    import json
-
-    jpath = tmp_path / "trace.json"
-    trace = itrust(p.objective, config, p.start)
-    trace.to_json(jpath)
-    payload = json.loads(jpath.read_text())
-    assert payload["converged"] == trace.converged
-    assert len(payload["records"]) == trace.n_iterations
-    assert payload["theta_final"] == trace.theta_final.tolist()
 
 
 # ---------------------------------------------------------------------------
