@@ -74,18 +74,26 @@ class EcimConfig:
 
 def step_sizes(config: EcimConfig, model: QuadraticModel) -> np.ndarray:
     """Full (beta_0, ..., beta_{K-1}) sequence, resolving beta0 = None to 1/L."""
-    beta0 = config.beta0
-    if beta0 is None:
-        S = model.symmetric_coupling()
-        lam = float(np.max(np.abs(np.linalg.eigvalsh(S))))
-        beta0 = 1.0 / lam if lam > 0.0 else 1.0
-    K = config.iterations
-    ks = np.arange(K)
+    beta0 = _resolve_beta0(config, model.symmetric_coupling())
+    return _schedule(config, beta0, 0, config.iterations)
+
+
+def _resolve_beta0(config: EcimConfig, S: np.ndarray) -> float:
+    """``config.beta0``, or ``1 / L`` with L the spectral radius of ``S``."""
+    if config.beta0 is not None:
+        return config.beta0
+    lam = float(np.max(np.abs(np.linalg.eigvalsh(S))))
+    return 1.0 / lam if lam > 0.0 else 1.0
+
+
+def _schedule(config: EcimConfig, beta0: float, start: int, stop: int) -> np.ndarray:
+    """Step sizes beta_start..beta_(stop-1) of the schedule; each element is
+    the same whatever the slice, so slices concatenate to the full one."""
     if config.schedule == "fixed":
-        return np.full(K, beta0)
+        return np.full(stop - start, beta0)
     if config.schedule == "fixed-horizon":
-        return np.full(K, beta0 / math.sqrt(K))
-    return beta0 / (ks + 1.0)
+        return np.full(stop - start, beta0 / math.sqrt(config.iterations))
+    return beta0 / (np.arange(start, stop) + 1.0)
 
 
 def project_box(z: np.ndarray, delta: float) -> np.ndarray:
@@ -357,7 +365,16 @@ def run_ecim(
 def _run_accelerated(
     model: QuadraticModel, config: EcimConfig, s0: np.ndarray | None, tol: float
 ) -> EcimTrace:
-    """``run_ecim`` with a ``tol``: the trust region's inexact variant."""
+    """``run_ecim`` with a ``tol``: the trust region's inexact variant.
+
+    A run usually stops after a few dozen steps at small n, where a step
+    costs its numpy calls, so a step makes only the calls its arithmetic
+    needs and a run does no work that grows with K: step sizes are made a
+    block at a time, and the trace keeps those of the steps taken. After a
+    restart, y(k+1) = s(k+1), and the gradient computed for the energy of
+    s(k+1) is the next step's. Every value has the floating-point
+    operations of the step-by-step form in tests/test_trust_region.py.
+    """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     n = model.dim
@@ -365,73 +382,88 @@ def _run_accelerated(
     s = np.zeros(n) if s0 is None else project_box(s0, delta)
     if s.shape != (n,):
         raise ValueError(f"s0 shape {s.shape}, expected ({n},)")
-    betas = step_sizes(config, model)
-    sigma = math.sqrt(config.sigma2)
-    rng = np.random.default_rng(config.seed) if sigma > 0.0 else None
+    K = config.iterations
     S = model.symmetric_coupling()
     h = model.field
+    beta0 = _resolve_beta0(config, S)
+    sigma = math.sqrt(config.sigma2)
+    rng = np.random.default_rng(config.seed) if sigma > 0.0 else None
     lower = np.full(n, -delta)
     upper = np.full(n, delta)
     tol_sq = tol * tol
 
-    def energy_at(x: np.ndarray) -> float:
-        # The formula of run_ecim, from the gradient at x.
-        gx = np.dot(S, x)
-        gx += h
-        return 0.5 * (float(x @ gx) + float(x @ h))
+    def step_sizes_by_block():
+        for k0 in range(0, K, BLOCK_STEPS):
+            yield from _schedule(config, beta0, k0, min(k0 + BLOCK_STEPS, K)).tolist()
 
-    energies = [energy_at(s)]
-    best_index, best = 0, s
-    steps = len(betas)
-    # y is the point the next step starts from; g holds its scaled gradient,
-    # d the gradient mapping times beta, and v the momentum.
-    y = s.copy()
-    g = np.empty(n)
+    # At small n a step costs the overhead of its calls: local names skip
+    # the module lookups, and maximum and minimum take out= by keyword, since
+    # numpy deprecates, and slows, their positional out.
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    maximum, minimum = np.maximum, np.minimum
+
+    # y is the point the next step starts from and g its gradient; gs is the
+    # gradient at s(k+1), d the gradient mapping times beta, v the momentum.
+    # Each step makes s(k+1) and y as new arrays and no later step writes
+    # them, since best and y may hold an earlier s. The energy is
+    # 0.5 * (s . (S s + h) + s . h); its + 0.0 turns a -0.0 into 0.0, as a
+    # sum from 0.0 does, since at n = 1 a dot product is the bare product.
+    g = S.dot(s)
+    add(g, h, g)
+    e = 0.5 * (float(s.dot(g)) + float(s.dot(h))) + 0.0
+    energies = [e]
+    best_index, best, best_energy = 0, s, e
+    steps = K
+    y = s
+    gs = np.empty(n)
     d = np.empty(n)
     v = np.empty(n)
     t = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, beta in enumerate(betas.tolist()):
-            np.dot(S, y, out=g)
-            np.add(g, h, g)
+        for k, beta in enumerate(step_sizes_by_block()):
             if rng is not None:
                 z = rng.normal(0.0, sigma, n)
                 if config.modulate_noise:
                     z *= beta
-                np.subtract(g, z, g)
-            np.multiply(g, beta, g)
+                subtract(g, z, g)
+            multiply(g, beta, g)
             s_next = y - g
-            np.maximum(s_next, lower, out=s_next)
-            np.minimum(s_next, upper, out=s_next)
-            e = energy_at(s_next)
+            maximum(s_next, lower, out=s_next)
+            minimum(s_next, upper, out=s_next)
+            S.dot(s_next, gs)
+            add(gs, h, gs)
+            e = 0.5 * (float(s_next.dot(gs)) + float(s_next.dot(h))) + 0.0
             if not abs(e) <= DIVERGENCE_LIMIT:
                 raise DivergenceError(k + 1, e)
             energies.append(e)
-            if e < energies[best_index]:
-                best_index, best = k + 1, s_next
-            np.subtract(y, s_next, d)
-            if float(d @ d) <= tol_sq * beta * beta:
+            if e < best_energy:
+                best_index, best, best_energy = k + 1, s_next, e
+            subtract(y, s_next, d)
+            if float(d.dot(d)) <= tol_sq * beta * beta:
                 steps = k + 1
                 break
-            np.subtract(s_next, s, v)
-            if float(d @ v) > 0.0:
+            subtract(s_next, s, v)
+            if float(d.dot(v)) > 0.0:
                 t = 1.0
-                np.copyto(y, s_next)
+                y = s_next
+                g, gs = gs, g
             else:
                 t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                np.multiply(v, (t - 1.0) / t_next, v)
-                np.add(s_next, v, y)
-                np.maximum(y, lower, out=y)
-                np.minimum(y, upper, out=y)
+                multiply(v, (t - 1.0) / t_next, v)
+                y = s_next + v
+                maximum(y, lower, out=y)
+                minimum(y, upper, out=y)
+                S.dot(y, g)
+                add(g, h, g)
                 t = t_next
             s = s_next
 
     return EcimTrace(
         iterates=None,
         energies=np.array(energies),
-        betas=betas[:steps],
+        betas=_schedule(config, beta0, 0, steps),
         best_index=best_index,
-        best_energy=energies[best_index],
+        best_energy=best_energy,
         best_iterate=best,
         stop_index=steps,
     )

@@ -17,6 +17,13 @@ def energy_gradient(model: QuadraticModel, s: np.ndarray) -> np.ndarray:
     return model.symmetric_coupling() @ s + model.field
 
 
+def machine_energy(model: QuadraticModel, s: np.ndarray) -> float:
+    """The machine's energy ``0.5 * (s . (S s + h) + s . h)``, from the
+    gradient at s, with numpy's plain products: the bits its traces keep."""
+    grad = np.dot(model.symmetric_coupling(), s) + model.field
+    return 0.5 * (float(s @ grad) + float(s @ model.field))
+
+
 def ecim_step(
     model: QuadraticModel, s: np.ndarray, beta: float, noise: np.ndarray
 ) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from itrust import (
     step_sizes,
     update_radius,
 )
-from tests.reference import ecim_step
+from tests.reference import ecim_step, machine_energy
 
 # Small acceptance threshold: every useful step is taken.
 TUNED = dict(mu=0.01, eta=0.05)
@@ -588,12 +589,14 @@ def _reference_accelerated_run(model, config, s0, tol):
 @pytest.mark.parametrize("tol", [0.0, 1e-3])
 def test_inexact_machine_matches_step_by_step_reference(tol):
     # Short and long horizons, kinds with walls and with an interior minimum,
-    # with and without noise.
-    runs = itertools.product(
-        (21, 300),
-        enumerate(((2, "psd"), (4, "indefinite"), (7, "pl"), (3, "strongly-convex"))),
-        (0.0, 1e-4),
+    # with and without noise. The two n = 1 instances have a field of either
+    # sign: from 0, the start's energy is then a zero whose sign the products
+    # decide.
+    instances = (
+        (2, "psd"), (4, "indefinite"), (7, "pl"), (3, "strongly-convex"),
+        (1, "pl"), (1, "indefinite"),
     )
+    runs = itertools.product((21, 300), enumerate(instances), (0.0, 1e-4))
     stopped = 0
     for K, (seed, (n, kind)), sigma2 in runs:
         model = random_box_quadratic(n, seed, kind=kind)
@@ -604,9 +607,12 @@ def test_inexact_machine_matches_step_by_step_reference(tol):
         assert steps == len(rows) - 1
         stopped += steps < K
         # The trace keeps the steps computed: their step sizes, and the
-        # energies of the rows, up to the roundoff of the two formulas.
+        # energies of the rows, bit for bit by the machine's formula and up
+        # to roundoff by the model's.
         assert trace.iterates is None
         assert trace.betas.tobytes() == step_sizes(config, model)[:steps].tobytes()
+        energies = [machine_energy(model, r) for r in rows]
+        assert trace.energies.tobytes() == np.array(energies).tobytes()
         energies = [energy(model, r) for r in rows]
         assert np.allclose(trace.energies, energies, rtol=1e-12, atol=1e-15)
         assert trace.best_iterate.tobytes() == rows[trace.best_index].tobytes()
@@ -628,6 +634,20 @@ def test_inexact_machine_stops_at_the_tolerance():
     # The paper's machine reaches that point in more steps and keeps going.
     plain = run_ecim(model, config, np.zeros(2))
     assert plain.stop_index > trace.stop_index
+
+
+def test_inexact_machine_cost_does_not_grow_with_the_horizon():
+    # The run above stops after 20 steps whatever K, so at K = 10^6 it
+    # makes none of the 8 MB of step sizes it would not use.
+    model = QuadraticModel(np.diag([1.0, 3.0]), np.array([-0.25, 0.75]), delta=0.5)
+    tracemalloc.start()
+    try:
+        trace = run_ecim(model, EcimConfig(iterations=10**6), tol=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.stop_index == 20
+    assert peak < 2**20
 
 
 def test_inexact_machine_without_tolerance_stops_only_at_a_fixed_point():
