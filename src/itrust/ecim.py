@@ -78,11 +78,17 @@ def step_sizes(config: EcimConfig, model: QuadraticModel) -> np.ndarray:
     return _schedule(config, beta0, 0, config.iterations)
 
 
+def smoothness(S: np.ndarray) -> float:
+    """L, the spectral radius of the symmetric coupling ``S``: the Lipschitz
+    constant of the energy's gradient."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(S))))
+
+
 def _resolve_beta0(config: EcimConfig, S: np.ndarray) -> float:
-    """``config.beta0``, or ``1 / L`` with L the spectral radius of ``S``."""
+    """``config.beta0``, or ``1 / L`` with L = ``smoothness(S)``."""
     if config.beta0 is not None:
         return config.beta0
-    lam = float(np.max(np.abs(np.linalg.eigvalsh(S))))
+    lam = smoothness(S)
     return 1.0 / lam if lam > 0.0 else 1.0
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ecim import smoothness
 from .model import Objective, QuadraticModel
 
 CONVEXITY_CLASSES = ("strongly-convex", "convex", "invex-like", "nonconvex")
@@ -348,5 +349,5 @@ def estimate_constants(model: QuadraticModel) -> ConstantEstimates:
     ``_CORNER_MAX_DIM`` = 20; above it, G is the upper bound
     ||S||_2 delta sqrt(n) + ||h||. The empirical mu_p of a run is
     ``estimate_mu_p``."""
-    L = float(np.max(np.abs(np.linalg.eigvalsh(model.symmetric_coupling()))))
+    L = smoothness(model.symmetric_coupling())
     return ConstantEstimates(G=_gradient_bound(model), L=L)

@@ -166,7 +166,8 @@ def exact_ball_minimize(model: QuadraticModel) -> OracleSolution:
     half-width, so the ball is inscribed in the model's box. Takes the full
     Newton step when H is positive semidefinite and the step fits in the
     ball. Otherwise finds the multiplier ``lam >= max(0, -lam_min)`` with
-    ``||(H + lam I)^-1 g|| = delta`` by safeguarded bisection; when the
+    ``||(H + lam I)^-1 g|| = delta`` by safeguarded bisection on its shift
+    above ``max(0, -lam_min)``, to a relative 1e-12; when the
     gradient has no component on the minimal eigenspace and the residual
     norm stays below delta there, the solution is completed with a minimal
     eigenvector (the hard case).
@@ -174,7 +175,7 @@ def exact_ball_minimize(model: QuadraticModel) -> OracleSolution:
     Raises
     ------
     NumericalError
-        If the bisection fails to bracket the multiplier to relative
+        If the bisection fails to bracket the multiplier's shift to relative
         tolerance 1e-12 within ``_BALL_MAX_ITER`` iterations.
     """
     g = model.field
@@ -185,18 +186,20 @@ def exact_ball_minimize(model: QuadraticModel) -> OracleSolution:
     w, Q = np.linalg.eigh(H)
     gt = Q.T @ g
     lam_floor = max(0.0, -float(w[0]))
+    floor = w + lam_floor  # the eigenvalues of H + lam_floor I
     g_norm = float(np.linalg.norm(g))
 
-    def point(lam: float, keep: np.ndarray) -> np.ndarray:
+    # Both take the eigenvalues of H + lam I.
+    def point(shifted: np.ndarray, keep: np.ndarray) -> np.ndarray:
         coeff = np.zeros_like(gt)
-        coeff[keep] = gt[keep] / (w[keep] + lam)
+        coeff[keep] = gt[keep] / shifted[keep]
         return -(Q @ coeff)
 
-    def residual_norm(lam: float, keep: np.ndarray) -> float:
+    def residual_norm(shifted: np.ndarray, keep: np.ndarray) -> float:
         # A pole at lam == -w_min maps to inf, which the bisection treats as
         # "residual too large" and moves past.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            r = float(np.linalg.norm(gt[keep] / (w[keep] + lam)))
+            r = float(np.linalg.norm(gt[keep] / shifted[keep]))
         return math.inf if math.isnan(r) else r
 
     def solution(p: np.ndarray, lam: float) -> OracleSolution:
@@ -209,7 +212,7 @@ def exact_ball_minimize(model: QuadraticModel) -> OracleSolution:
     if w[0] >= -1e-14 * scale:
         pos = w > 1e-14 * scale
         if np.all(np.abs(gt[~pos]) <= 1e-12 * max(1.0, g_norm)):
-            p = point(0.0, pos)
+            p = point(w, pos)
             if np.linalg.norm(p) <= delta:
                 return solution(p, 0.0)
 
@@ -219,35 +222,38 @@ def exact_ball_minimize(model: QuadraticModel) -> OracleSolution:
         minimal = w - w[0] <= 1e-10 * scale
         if np.all(np.abs(gt[minimal]) <= 1e-11 * max(1.0, g_norm)):
             perp = ~minimal
-            r = residual_norm(lam_floor, perp) if np.any(perp) else 0.0
+            r = residual_norm(floor, perp) if np.any(perp) else 0.0
             if r < delta:
-                p = point(lam_floor, perp)
+                p = point(floor, perp)
                 tau = math.sqrt(max(delta * delta - r * r, 0.0))
                 p = p + tau * Q[:, 0]
                 return solution(p, lam_floor)
 
-    # Regular case: the residual norm is decreasing in lam with a pole at
-    # lam_floor, so a bracket [lam_floor, lam_floor + |g|/delta] always holds.
-    lo = lam_floor
-    hi = lam_floor + g_norm / delta + 1e-12 * max(1.0, scale)
+    # Regular case: the residual norm is decreasing in lam, with a pole at
+    # lam_floor unless the gradient misses the minimal eigenspace. Bisect on
+    # the shift t = lam - lam_floor, over the bracket [0, |g|/delta], to a
+    # relative 1e-12: ||p|| is then within a relative 1e-12 of delta too,
+    # however close the pole or small the multiplier.
+    lo = 0.0
+    hi = g_norm / delta + 1e-12 * max(1.0, scale)
     grow = 0
-    while residual_norm(hi, all_keep) >= delta:
-        hi = lam_floor + 2.0 * (hi - lam_floor)
+    while residual_norm(floor + hi, all_keep) >= delta:
+        hi *= 2.0
         grow += 1
         if grow > 64:
             raise NumericalError("failed to bracket the ball multiplier")
 
     it = 0
-    while hi - lo > 1e-12 * max(1.0, hi):
+    while hi - lo > 1e-12 * hi:
         if it >= _BALL_MAX_ITER:
             raise NumericalError(
                 f"ball multiplier bisection did not converge in {_BALL_MAX_ITER} steps"
             )
         mid = 0.5 * (lo + hi)
-        if residual_norm(mid, all_keep) > delta:
+        if residual_norm(floor + mid, all_keep) > delta:
             lo = mid
         else:
             hi = mid
         it += 1
 
-    return solution(point(hi, all_keep), hi)
+    return solution(point(floor + hi, all_keep), lam_floor + hi)

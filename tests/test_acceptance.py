@@ -3,10 +3,12 @@
 Every test prints a single ``criterion N (...): PASS`` or ``FAIL`` line
 before asserting, so a plain run doubles as a checklist. Expected values come
 from the reference oracles or closed forms, never from the machine itself.
+Criteria 3-6 and 8 run the CLI's campaign cells: each check lives there once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -18,15 +20,14 @@ from itrust import (
     energy,
     estimate_constants,
     estimate_mu_p,
-    exact_ball_minimize,
     get_problem,
-    grid_minimize_box,
     itrust,
     problem_suite,
     project_box,
     random_box_quadratic,
     run_ecim,
 )
+from itrust.cli import _compare_cell, _rate_campaign, _verify_cell
 from tests.reference import ecim_step, energy_gradient, gradient_mapping
 
 # Outer-loop thresholds used by the full-suite runs. Every rejection shrinks
@@ -37,16 +38,9 @@ RUN_MU = 0.01
 RUN_ETA = 0.05
 
 
-def verdict(number: int, label: str, ok: bool, detail: str = "") -> bool:
-    line = f"criterion {number} ({label}): {'PASS' if ok else 'FAIL'}"
-    if detail:
-        line += f"  [{detail}]"
-    print(line)
+def verdict(number: int, label: str, ok: bool, detail: str) -> bool:
+    print(f"criterion {number} ({label}): {'PASS' if ok else 'FAIL'}  [{detail}]")
     return ok
-
-
-def grid_reference(model, resolution=0.005, polish_steps=400):
-    return grid_minimize_box(model, resolution, polish_steps=polish_steps)
 
 
 def test_criterion_01_projection_inequalities():
@@ -104,201 +98,82 @@ def test_criterion_02_gradient_mapping_inequalities():
     )
 
 
-def test_criterion_03_fixed_step_bound():
+@functools.cache
+def verify_rows(seeds: range, K: int) -> tuple[dict[str, list[dict]], float]:
+    """``verify-bounds``' rows at n = 2 by check, and the seconds they took."""
     t0 = time.perf_counter()
-    fails = 0
-    worst_margin = math.inf
-    for seed in range(20):
-        model = random_box_quadratic(2, seed=seed, kind="psd")
-        ref = grid_reference(model)
-        consts = estimate_constants(model)
-        beta = 1.0 / consts.L if consts.L > 0 else 1.0
-        trace = run_ecim(
-            model,
-            EcimConfig(
-                schedule="fixed", beta0=beta, sigma2=0.0, iterations=10_000, seed=seed
-            ),
-            keep_iterates=True,
-        )
-        d = float(np.linalg.norm(trace.iterates[0] - ref.s_star))
-        best = np.minimum.accumulate(trace.energies)
-        for K in (10, 100, 1000, 10_000):
-            gap = float(best[K]) - ref.value
-            bound = 0.5 * (d * d / (beta * K) + beta * consts.G**2)
-            worst_margin = min(worst_margin, bound - gap)
-            if gap > bound + 1e-9:
-                fails += 1
-    elapsed = time.perf_counter() - t0
-    ok = fails == 0 and elapsed < 120.0
-    assert verdict(
-        3,
-        "fixed-step suboptimality bound",
-        ok,
-        f"{fails} violations, worst margin {worst_margin:.3f}, {elapsed:.1f}s",
-    )
+    rows = {}
+    for seed in seeds:
+        for row in _verify_cell({"n": 2, "K": K}, seed):
+            rows.setdefault(row["check"], []).append(row)
+    return rows, time.perf_counter() - t0
+
+
+def failures(rows: list[dict]) -> int:
+    return sum(not row["passed"] for row in rows)
+
+
+def test_criterion_03_fixed_step_bound():
+    rows, elapsed = verify_rows(range(20), 10_000)
+    bound = rows["fixed-step-bound"]  # horizons 10 to 10^4 for each seed
+    margin = min(row["bound"] - row["observed"] for row in bound)
+    ok = len(bound) == 80 and failures(bound) == 0 and elapsed < 120.0
+    detail = f"{failures(bound)} violations, worst margin {margin:.3f}, {elapsed:.1f}s"
+    assert verdict(3, "fixed-step suboptimality bound", ok, detail)
 
 
 def test_criterion_04_fixed_horizon_rate():
     t0 = time.perf_counter()
-    ks = (316, 1000, 3162, 10_000, 31_623, 100_000)
-    sigma2 = 0.01
-    bound_fails = 0
-    min_bound_ratio = math.inf
-    tail_gaps = {K: [] for K in ks}
-    for seed in range(10):
-        model = random_box_quadratic(2, seed=seed, kind="singular")
-        ref = grid_reference(model)
-        consts = estimate_constants(model)
-        probe = run_ecim(
-            model,
-            EcimConfig(schedule="fixed", beta0=1.0, iterations=1, seed=seed),
-            keep_iterates=True,
-        )
-        d = float(np.linalg.norm(probe.iterates[0] - ref.s_star))
-        beta0 = d / consts.G
-        for K in ks:
-            trace = run_ecim(
-                model,
-                EcimConfig(
-                    schedule="fixed-horizon",
-                    beta0=beta0,
-                    sigma2=sigma2,
-                    iterations=K,
-                    seed=seed,
-                ),
-            )
-            min_gap = trace.best_energy - ref.value
-            bound = d * consts.G / math.sqrt(K)
-            if min_gap > bound:
-                bound_fails += 1
-            if min_gap > 0.0:
-                min_bound_ratio = min(min_bound_ratio, bound / min_gap)
-            # Tail-averaged current gap: the run's noise-floor level, which
-            # follows the predicted 1/sqrt(K) scaling and pools stably.
-            tail_gaps[K].append(
-                max(float(np.mean(trace.energies[K // 2 :])) - ref.value, 1e-300)
-            )
-    pooled = [math.exp(float(np.mean(np.log(tail_gaps[K])))) for K in ks]
-    slope = float(np.polyfit(np.log(ks), np.log(pooled), 1)[0])
+    ks = [316, 1000, 3162, 10_000, 31_623, 100_000]
+    rows, summary = _rate_campaign({"n": 2, "seeds": list(range(10)), "ks": ks})
+    over = sum(row["min_gap_over_bound"] > 1.0 for row in rows)
+    worst = max(row["min_gap_over_bound"] for row in rows)
     elapsed = time.perf_counter() - t0
-    ok = -0.7 <= slope <= -0.4 and bound_fails == 0 and elapsed < 300.0
-    assert verdict(
-        4,
-        "fixed-horizon rate",
-        ok,
-        f"pooled slope {slope:.3f}, {bound_fails} bound violations, "
-        f"min bound/gap {min_bound_ratio:.1f}x, {elapsed:.1f}s",
+    ok = summary["verdict_passed"] and over == 0 and elapsed < 300.0
+    detail = (
+        f"pooled slope {summary['pooled_slope']:.3f}, {over} of {len(rows)} seeds "
+        f"over the min-gap bound, worst min gap/bound {worst:.3f}, {elapsed:.1f}s"
     )
+    assert verdict(4, "fixed-horizon rate", ok, detail)
 
 
 def test_criterion_05_averaged_iterate_decay():
-    # Under beta_k = beta0/(k+1) the weight sums are harmonic numbers:
-    # sum beta_k = beta0 H(K) and sum beta_k^2 = beta0^2 H2(K), over k < K.
-    # Once the iterates settle, the weighted average sits C/H(K) away from
-    # s*, so its gap is a/H + b/H^2 with a, b >= 0 and the ratio
-    # gap(10^2)/gap(10^5) lies in [r, r^2], r = H(10^5)/H(10^2) (see README).
-    t0 = time.perf_counter()
-    beta0 = 1.0
-    horizons = (100, 1000, 10_000, 100_000)
-    weight = {K: beta0 * math.fsum(1.0 / j for j in range(1, K + 1)) for K in horizons}
-    weight_sq = {
-        K: beta0**2 * math.fsum(1.0 / (j * j) for j in range(1, K + 1))
-        for K in horizons
-    }
-    r = weight[horizons[-1]] / weight[horizons[0]]
-    # The 1% slack absorbs the small drift of ||avg - s*|| * H(K) across horizons.
+    # Under beta_k = 1/(k+1) the averaged iterate at horizon K sits C/H(K) from
+    # s* once the iterates settle (H the harmonic number), so its gap is a/H +
+    # b/H^2 with a, b >= 0 and gap(10^2)/gap(10^5) lies in [r, r^2], r =
+    # H(10^5)/H(10^2) (see README); 1% slack absorbs the drift of |avg - s*| H.
+    rows, elapsed = verify_rows(range(10), 100_000)
+    averaged, decay = rows["averaged-bound"], rows["averaged-decay"]
+    gaps = {(row["seed"], row["K"]): row["observed"] for row in averaged}
+    ratios = [gaps[seed, 100] / gaps[seed, 100_000] for seed in range(10)]
+    harmonic = [math.fsum(1.0 / j for j in range(1, K + 1)) for K in (100, 100_000)]
+    r = harmonic[1] / harmonic[0]
     band = (0.99 * r, 1.01 * r * r)
-    ratios = []
-    bound_fails = 0
-    decay_fails = 0
-    min_bound_ratio = math.inf
-    for seed in range(10):
-        model = random_box_quadratic(2, seed=seed, kind="psd")
-        ref = grid_reference(model)
-        consts = estimate_constants(model)
-        trace = run_ecim(
-            model,
-            EcimConfig(
-                schedule="decreasing", beta0=beta0, iterations=100_000, seed=seed
-            ),
-            keep_iterates=True,
-        )
-        d = float(np.linalg.norm(trace.iterates[0] - ref.s_star))
-        gaps = [
-            energy(model, trace.averaged_iterate_at(K)) - ref.value for K in horizons
-        ]
-        for K, gap in zip(horizons, gaps):
-            bound = (d * d + consts.G**2 * weight_sq[K]) / (2.0 * weight[K])
-            if gap > bound + 1e-9:
-                bound_fails += 1
-            if gap > 0.0:
-                min_bound_ratio = min(min_bound_ratio, bound / gap)
-        decay_fails += sum(1 for a, b in zip(gaps, gaps[1:]) if not b < a)
-        ratios.append(gaps[0] / gaps[-1] if gaps[-1] > 0.0 else math.inf)
-    elapsed = time.perf_counter() - t0
-    ok = (
-        bound_fails == 0
-        and decay_fails == 0
-        and band[0] <= min(ratios)
-        and max(ratios) <= band[1]
-        and elapsed < 120.0
+    min_bound_ratio = min(row["bound"] / row["observed"] for row in averaged)
+    failed = sum(map(failures, rows.values()))
+    ok = len(averaged) == 40 and failed == 0 and elapsed < 120.0
+    ok = ok and band[0] <= min(ratios) and max(ratios) <= band[1]
+    detail = (
+        f"improvement ratio in [{min(ratios):.3f}, {max(ratios):.3f}] (need "
+        f"[{band[0]:.3f}, {band[1]:.3f}]), {failures(averaged)} bound violations, "
+        f"min bound/gap {min_bound_ratio:.2f}x, {failures(decay)} decay "
+        f"violations, {failed} failed rows in all, {elapsed:.1f}s"
     )
-    assert verdict(
-        5,
-        "averaged-iterate decay",
-        ok,
-        f"improvement ratio in [{min(ratios):.3f}, {max(ratios):.3f}] "
-        f"(need [{band[0]:.3f}, {band[1]:.3f}]), {bound_fails} bound violations, "
-        f"min bound/gap {min_bound_ratio:.2f}x, {decay_fails} decay violations, "
-        f"{elapsed:.1f}s",
-    )
+    assert verdict(5, "averaged-iterate decay", ok, detail)
 
 
 def test_criterion_06_linear_rate_and_complexity():
-    t0 = time.perf_counter()
-    fails = 0
-    worst_ratio = 0.0
-    worst_k_margin = math.inf
-    eps = 1e-6
-    for seed in range(20):
-        model = random_box_quadratic(2, seed=seed, kind="pl")
-        s_star = np.linalg.solve(model.symmetric_coupling(), -model.field)
-        e_star = energy(model, s_star)
-        consts = estimate_constants(model)
-        beta = 1.0 / consts.L
-        trace = run_ecim(
-            model,
-            EcimConfig(schedule="fixed", beta0=beta, iterations=4000, seed=seed),
-            keep_iterates=True,
-        )
-        mu_p = estimate_mu_p(trace, e_star)
-        assert mu_p is not None and mu_p > 0.0
-        gaps = trace.energies - e_star
-        gap0 = float(gaps[0])
-        factor = 1.0
-        rate_ok = True
-        for k in range(1, len(gaps)):
-            factor *= 1.0 - beta * mu_p
-            if gaps[k] > 1e-12:
-                ratio = gaps[k] / (factor * gap0)
-                worst_ratio = max(worst_ratio, ratio)
-                if ratio > 1.0 + 1e-6:
-                    rate_ok = False
-        hits = np.nonzero(gaps <= eps)[0]
-        k_meas = int(hits[0]) if hits.size else math.inf
-        k_bound = (consts.L / mu_p) * math.log(gap0 / eps)
-        worst_k_margin = min(worst_k_margin, 1.1 * k_bound - k_meas)
-        if not rate_ok or k_meas > 1.1 * k_bound:
-            fails += 1
-    elapsed = time.perf_counter() - t0
-    ok = fails == 0 and elapsed < 60.0
-    assert verdict(
-        6,
-        "linear rate and iteration complexity",
-        ok,
+    rows, elapsed = verify_rows(range(20), 10_000)
+    rate, complexity = rows["linear-rate-bound"], rows["iteration-complexity"]
+    worst_ratio = max(row["observed"] for row in rate)
+    margin = min(row["bound"] - row["observed"] for row in complexity)
+    fails = failures(rate) + failures(complexity)
+    ok = len(rate) == len(complexity) == 20 and fails == 0 and elapsed < 60.0
+    detail = (
         f"{fails} violations, worst rate ratio {worst_ratio:.3f}, "
-        f"worst complexity margin {worst_k_margin:.0f} iterations, {elapsed:.1f}s",
+        f"worst complexity margin {margin:.0f} iterations, {elapsed:.1f}s"
     )
+    assert verdict(6, "linear rate and iteration complexity", ok, detail)
 
 
 def test_criterion_07_gradient_domination_constant():
@@ -341,43 +216,17 @@ def test_criterion_07_gradient_domination_constant():
 
 def test_criterion_08_machine_dominates_ball_oracle():
     t0 = time.perf_counter()
-    kinds = ("strongly-convex", "psd", "singular")
-    fails = 0
-    worst_ball_excess = -math.inf
-    worst_grid_error = -math.inf
-    worst_c = math.inf
-    for i in range(100):
-        n = 2 if i % 2 == 0 else 3
-        model = random_box_quadratic(n, seed=1000 + i, kind=kinds[i % 3])
-        consts = estimate_constants(model)
-        trace = run_ecim(
-            model,
-            EcimConfig(
-                schedule="fixed",
-                beta0=1.0 / consts.L if consts.L > 0 else 1.0,
-                iterations=20_000,
-                seed=i,
-            ),
-        )
-        ball = exact_ball_minimize(model)
-        grid = grid_reference(model, resolution=0.005 if n == 2 else 0.02)
-        e = trace.best_energy
-        worst_ball_excess = max(worst_ball_excess, e - ball.value)
-        worst_grid_error = max(worst_grid_error, abs(e - grid.value))
-        c = -e / abs(ball.value)
-        worst_c = min(worst_c, c)
-        if e > ball.value + 1e-6 or abs(e - grid.value) > 1e-4 or c < 0.9:
-            fails += 1
+    options = {"seed": 1000, "dims": [2, 3], "K": 20_000}
+    rows = [_compare_cell(options, i) for i in range(100)]
     elapsed = time.perf_counter() - t0
-    ok = fails == 0 and elapsed < 300.0
-    assert verdict(
-        8,
-        "ball-in-box dominance",
-        ok,
-        f"{fails} violations, worst excess over ball {worst_ball_excess:.1e}, "
-        f"worst grid error {worst_grid_error:.1e}, worst c {worst_c:.4f}, "
-        f"{elapsed:.1f}s",
+    ok = failures(rows) == 0 and elapsed < 300.0
+    detail = (
+        f"{failures(rows)} violations, worst excess over ball "
+        f"{max(row['ecim_minus_ball'] for row in rows):.1e}, worst grid error "
+        f"{max(abs(row['ecim_minus_grid']) for row in rows):.1e}, worst c "
+        f"{np.nanmin([row['coherence_ratio'] for row in rows]):.4f}, {elapsed:.1f}s"
     )
+    assert verdict(8, "ball-in-box dominance", ok, detail)
 
 
 def test_criterion_09_full_suite_second_order():

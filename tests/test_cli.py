@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,18 +41,26 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def test_parse_seeds(capsys):
+def test_parse_seeds(tmp_path, capsys):
     assert _parse_ints("0-3") == [0, 1, 2, 3]
     assert _parse_ints("1,5,9") == [1, 5, 9]
     assert _parse_ints("4") == [4]
-    for spec in ("", "5-3", "0,5-3"):
+    for spec in ("", "5-3", "0,5-3", "0-3,2", "0,0"):
         with pytest.raises(ValueError):
             _parse_ints(spec)
-    # A reversed range is a usage error, not a shorter list.
-    with pytest.raises(SystemExit) as info:
-        main(["verify-bounds", "--seeds", "0,5-3"])
-    assert info.value.code == EXIT_USAGE
-    assert "--seeds" in capsys.readouterr().err
+    # A reversed range is a usage error, not a shorter list, and a repeated
+    # value one, not a seed or horizon counted twice.
+    for argv in (
+        ["verify-bounds", "--seeds", "0,5-3"],
+        ["verify-bounds", "--n", "1", "--K", "1000", "--seeds", "0,0"],
+        ["rate-fit", "--ks", "316,1000,316,3162,10000"],
+        ["compare-oracles", "--dims", "2-3,2"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(tmp_path / "reports")])
+        assert info.value.code == EXIT_USAGE
+        assert argv[-2] in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
     # The same parser reads --seeds, --ks and --dims.
     parser = build_parser()
     assert parser.parse_args(["verify-bounds", "--seeds", "0-1"]).seeds == [0, 1]
@@ -420,6 +429,7 @@ def test_rate_fit_fixed_horizon_pooled_verdict(tmp_path, capsys):
     lo, hi = SUBLINEAR_SLOPE_BAND
     assert lo <= summary["pooled_slope"] <= hi
     assert [row["seed"] for row in rows] == ["0", "1"]
+    assert all(float(row["min_gap_over_bound"]) <= 1.0 for row in rows)
     # Seed 1's own fit falls outside the band while the pooled verdict
     # passes: the exit code and the summary on disk both record the
     # verdict, and the summary line says so.
@@ -432,14 +442,11 @@ def test_rate_fit_fixed_horizon_pooled_verdict(tmp_path, capsys):
 
 
 def test_rate_fit_starved_of_data_is_usage_error(tmp_path, capsys):
-    # Three horizons, and four copies of one horizon.
-    for extra in (
-        ["--seeds", "0", "--ks", "40,80,160"],
-        ["--seeds", "0-1", "--ks", "1000,1000,1000,1000"],
-    ):
-        rc = main(["rate-fit", *extra, "--out", str(tmp_path)])
-        assert rc == EXIT_USAGE, extra
-        assert "insufficient data" in capsys.readouterr().err
+    # Three horizons fit no slope. Four copies of one horizon would fit none
+    # either; they are refused as repeated values (test_parse_seeds).
+    rc = main(["rate-fit", "--seeds", "0", "--ks", "40,80,160", "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert "insufficient data" in capsys.readouterr().err
 
 
 def test_compare_oracles_small_run(tmp_path, capsys):
@@ -493,35 +500,57 @@ def test_compare_oracles_divergent_machine_is_numerical_error(
     assert not out.exists()
 
 
+def readme_columns() -> dict[str, list[str]]:
+    """Each command's CSV columns as README's "Trace and report files" lists
+    them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Trace and report files\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([a-z-]+)`: `([^`]+)`", section, re.MULTILINE)
+    return {name: re.split(r",\s*", columns) for name, columns in listed}
+
+
 def test_campaign_report_columns(tmp_path):
-    # Each campaign writes exactly its CSV and its summary JSON, and every
-    # row carries the summary's config hash.
-    campaigns = {
-        "verify-bounds-n1": (
-            ["verify-bounds", "--n", "1", "--seeds", "0", "--K", "1000"],
-            "check,instance,seed,K,observed,bound,passed,config_hash",
+    # Each command writes exactly its CSV and its summary JSON, the CSV's
+    # header is the column list README gives it, and README lists every
+    # command that writes a report. Every campaign row carries the summary's
+    # config hash.
+    runs = {
+        "solve": (
+            ["solve", "--problem", "quad2", "--T", "2", "--K", "50"],
+            "solve-quad2-ecim-seed0",
+            ".trace.csv",
         ),
-        "rate-fit-fixed-horizon-n2": (
+        "verify-bounds": (
+            ["verify-bounds", "--n", "1", "--seeds", "0", "--K", "1000"],
+            "verify-bounds-n1",
+            ".csv",
+        ),
+        "rate-fit": (
             ["rate-fit", "--seeds", "0", "--ks", "100,316,1000,3162"],
-            "instance,seed,slope,intercept,r_squared,n_points,passed,config_hash",
+            "rate-fit-fixed-horizon-n2",
+            ".csv",
         ),
         "compare-oracles": (
             ["compare-oracles", "--count", "1", "--K", "500"],
-            "instance,seed,n,kind,ecim_value,ball_value,grid_value,"
-            "ecim_minus_ball,ecim_minus_grid,coherence_ratio,passed,config_hash",
+            "compare-oracles",
+            ".csv",
         ),
     }
-    for stem, (argv, header) in campaigns.items():
-        out = tmp_path / stem
+    documented = readme_columns()
+    assert sorted(documented) == sorted(runs)
+    for name, (argv, stem, suffix) in runs.items():
+        out = tmp_path / name
         assert main([*argv, "--out", str(out)]) == EXIT_OK
-        report, summary = out / f"{stem}.csv", out / f"{stem}.summary.json"
-        assert sorted(out.iterdir()) == [report, summary]
-        assert report.read_text().splitlines()[0] == header
+        report, summary = out / f"{stem}{suffix}", out / f"{stem}.summary.json"
+        assert sorted(out.iterdir()) == sorted([report, summary])
+        assert report.read_text().splitlines()[0].split(",") == documented[name]
         payload = json.loads(summary.read_text())
-        rows = read_rows(report)
-        assert {row["config_hash"] for row in rows} == {payload["config_hash"]}
         assert payload["config_hash"] == _config_hash(payload["config"])
-        assert payload["rows"] == len(rows) and payload["failed"] == 0
+        if name != "solve":
+            rows = read_rows(report)
+            assert {row["config_hash"] for row in rows} == {payload["config_hash"]}
+            assert payload["rows"] == len(rows) and payload["failed"] == 0
 
 
 class RecordingOptions(dict):

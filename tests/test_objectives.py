@@ -15,6 +15,7 @@ from itrust import (
     problem_suite,
     random_box_quadratic,
     run_ecim,
+    step_sizes,
 )
 from itrust.objectives import INSTANCE_KINDS, logistic_dataset
 from tests.reference import (
@@ -218,6 +219,15 @@ def test_constants_diagonal_quadratic():
     model = QuadraticModel(np.diag([1.0, 4.0]), np.zeros(2), delta=1.0)
     est = estimate_constants(model)
     assert est.L == pytest.approx(4.0, abs=0.0)
+
+
+def test_smoothness_is_the_machine_default_step():
+    # The harness's bounds are stated for the machine's default 1/L step, so
+    # both read L from one function.
+    for kind in INSTANCE_KINDS:
+        model = random_box_quadratic(3, seed=0, kind=kind)
+        beta = step_sizes(EcimConfig(), model)[0]
+        assert beta == 1.0 / estimate_constants(model).L, kind
 
 
 def test_gradient_bound_identity_model():
