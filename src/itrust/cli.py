@@ -120,14 +120,14 @@ def _parse_ints(spec: str) -> list[int]:
         if "-" in part[1:]:
             lo, hi = (int(v) for v in part.split("-", 1))
             if hi < lo:
-                raise ValueError(f"reversed range {part!r}")
+                raise argparse.ArgumentTypeError(f"reversed range {part!r}")
             values.extend(range(lo, hi + 1))
         else:
             values.append(int(part))
     if not values:
-        raise ValueError(f"no integers in {spec!r}")
+        raise argparse.ArgumentTypeError(f"no integers in {spec!r}")
     if len(set(values)) < len(values):
-        raise ValueError(f"repeated integers in {spec!r}")
+        raise argparse.ArgumentTypeError(f"repeated integers in {spec!r}")
     return values
 
 
@@ -200,7 +200,7 @@ def _solver_spec(options: dict):
         )
     if name == "exact-ball":
         return ExactBallSolver()
-    return GridSolver(resolution=options["resolution"])
+    return GridSolver()
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +256,6 @@ def cmd_solve(options: dict) -> int:
 # verify-bounds
 
 
-def _grid_reference(model):
-    """Reference optimum of a campaign instance; the grid is finer where it
-    stays small."""
-    resolution = {1: 0.001, 2: 0.005, 3: 0.02}.get(model.dim, 0.05)
-    return grid_minimize_box(model, resolution, polish_steps=400)
-
-
 def _verify_cell(options: dict, seed: int) -> list[dict]:
     n = options["n"]
     K = options["K"]
@@ -282,7 +275,7 @@ def _verify_cell(options: dict, seed: int) -> list[dict]:
     # Fixed-step suboptimality bound on a convex instance, noise-free at the
     # 1/L step of the proof: beta0 = None resolves to 1/L in step_sizes.
     model = random_box_quadratic(n, seed, kind="psd")
-    ref = _grid_reference(model)
+    ref = grid_minimize_box(model)
     consts = estimate_constants(model)
     cfg = EcimConfig(schedule="fixed", iterations=K, seed=seed)
     trace = run_ecim(model, cfg, keep_iterates=True)
@@ -406,7 +399,7 @@ def _rate_cell(options: dict, seed: int) -> tuple[dict, list[float]]:
     """
     n = options["n"]
     model = random_box_quadratic(n, seed, kind="singular")
-    ref = _grid_reference(model)
+    ref = grid_minimize_box(model)
     consts = estimate_constants(model)
     # A one-step probe gives the seed's start point, which no horizon changes.
     probe = run_ecim(
@@ -512,7 +505,7 @@ def _compare_cell(options: dict, index: int) -> dict:
     cfg = EcimConfig(schedule="fixed", iterations=options["K"], seed=seed)
     trace = run_ecim(model, cfg)
     ball = exact_ball_minimize(model)
-    grid = _grid_reference(model)
+    grid = grid_minimize_box(model)
 
     ecim_value = trace.best_energy
     ratio = -ecim_value / abs(ball.value) if ball.value < -1e-12 else math.nan
@@ -603,9 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=TrustRegionConfig.mu)
     p.add_argument("--eta", type=float, default=TrustRegionConfig.eta)
     p.add_argument("--gtol", type=float, default=TrustRegionConfig.gtol)
-    p.add_argument(
-        "--resolution", type=float, default=GridSolver.resolution, help="grid solver"
-    )
     p.add_argument("--use-scaling", action="store_true")
     p.add_argument("--warm-start", action="store_true")
     _add_common(p)

@@ -17,19 +17,17 @@ import numpy as np
 from .ecim import EcimConfig, run_ecim
 from .model import QuadraticModel, energy
 
-# Exhaustive search is limited to dimensions where the lattice is tractable.
-GRID_MAX_DIM = 4
+# Lattice points per axis over [-delta, delta], by dimension: the spacing is
+# 0.001, 0.005, 0.02 and 0.05 at delta = 0.5, and the lattice never holds
+# more than 21^4 points. The keys are the dimensions the oracle supports.
+GRID_POINTS = {1: 1001, 2: 201, 3: 51, 4: 21}
 
-# Lattice points one grid solve may scan. A scan at the cap takes 1.7, 3.0
-# and 3.2 s at n = 2, 3 and 4 on a 2-core x86-64 host, BLAS on one thread.
-GRID_MAX_POINTS = 100_000_000
+# Noise-free 1/L steps that polish the best lattice point.
+POLISH_STEPS = 400
 
 # Points per evaluated block: the trailing axes of a block grow until it holds
-# at least _SLAB_POINTS, so that a block's arrays stay in cache, and never
-# past _BLOCK_LIMIT, which keeps the scan out of large allocations. A single
-# trailing axis longer than _BLOCK_LIMIT is scanned in runs of that many.
+# at least _SLAB_POINTS, so that a block's arrays stay in cache.
 _SLAB_POINTS = 2048
-_BLOCK_LIMIT = 2_000_000
 
 # Bisection steps allowed for the ball-constraint multiplier.
 _BALL_MAX_ITER = 200
@@ -61,94 +59,64 @@ def _batch_energy(S: np.ndarray, h: np.ndarray, points: np.ndarray) -> np.ndarra
     return 0.5 * np.einsum("ij,ij->i", points @ S, points) + points @ h
 
 
-def grid_minimize_box(
-    model: QuadraticModel, resolution: float, polish_steps: int = 100
-) -> OracleSolution:
+def grid_minimize_box(model: QuadraticModel) -> OracleSolution:
     """Exhaustive lattice minimization over the box, then a local polish.
 
-    The lattice spans ``[-delta, delta]`` per axis with spacing at most
-    ``resolution`` and always includes both endpoints. Ties are broken toward
-    the lexicographically smallest lattice index so repeated calls are
-    byte-stable. The best lattice point is then polished by a noise-free
-    ``run_ecim`` of ``polish_steps`` steps at ``1 / L`` (L the spectral
-    radius of the symmetric coupling), kept only when it lowers the energy.
+    The lattice has ``GRID_POINTS[n]`` points per axis, evenly spaced over
+    ``[-delta, delta]`` and including both endpoints, whatever delta is. Ties
+    are broken toward the lexicographically smallest lattice index so
+    repeated calls are byte-stable. The best lattice point is then polished
+    by a noise-free ``run_ecim`` of ``POLISH_STEPS`` steps at ``1 / L`` (L
+    the spectral radius of the symmetric coupling), kept only when it lowers
+    the energy.
 
     Raises
     ------
     OracleCapabilityError
-        For dimensions above ``GRID_MAX_DIM``, or a lattice of more than
-        ``GRID_MAX_POINTS`` points.
+        For dimensions other than the keys of ``GRID_POINTS``.
     DivergenceError
         When an energy of the polish run is beyond ``DIVERGENCE_LIMIT``
         (1e12).
     """
     n = model.dim
-    if n > GRID_MAX_DIM:
+    if n not in GRID_POINTS:
         raise OracleCapabilityError(
-            f"grid oracle supports n <= {GRID_MAX_DIM}, got n = {n}"
+            f"grid oracle supports n <= {max(GRID_POINTS)}, got n = {n}"
         )
-    if not resolution > 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
 
     delta = model.delta
-    count = max(2, int(math.ceil(2.0 * delta / resolution)) + 1)
-    if count**n > GRID_MAX_POINTS:
-        raise OracleCapabilityError(
-            f"grid oracle scans at most {GRID_MAX_POINTS} points, got "
-            f"{count}^{n} (delta {delta}, resolution {resolution})"
-        )
-    spacing = 2.0 * delta / (count - 1)
+    count = GRID_POINTS[n]
+    axis = np.linspace(-delta, delta, count)
     S = model.symmetric_coupling()
     h = model.field
 
     # Scan in lexicographic index order, fixing leading coordinates and
     # vectorizing over the trailing ones; a strict < keeps the first minimum.
     n_tail = 1
-    while (
-        n_tail < n
-        and count**n_tail < _SLAB_POINTS
-        and count ** (n_tail + 1) <= _BLOCK_LIMIT
-    ):
+    while n_tail < n and count**n_tail < _SLAB_POINTS:
         n_tail += 1
-    rows = count**n_tail
-    run = min(rows, _BLOCK_LIMIT)
-    # A one-axis tail longer than a block is built a run at a time, so the
-    # whole axis is held only where a block or the lead axes need it.
-    axis = np.linspace(-delta, delta, count) if run == rows or n_tail < n else None
-    lead_axes = [axis] * (n - n_tail)
-    block = np.empty((run, n))
-    if run == rows:
-        # Write the tail lattice once, axis j broadcast along tail dimension j.
-        tail = block.reshape((count,) * n_tail + (n,))
-        for j in range(n_tail):
-            shape = (count,) + (1,) * (n_tail - 1 - j)
-            tail[..., n - n_tail + j] = axis.reshape(shape)
+    # Write the tail lattice once, axis j broadcast along tail dimension j.
+    block = np.empty((count**n_tail, n))
+    tail = block.reshape((count,) * n_tail + (n,))
+    for j in range(n_tail):
+        shape = (count,) + (1,) * (n_tail - 1 - j)
+        tail[..., n - n_tail + j] = axis.reshape(shape)
 
     best_val = math.inf
     best_point = None
-    for prefix in itertools.product(*lead_axes):
+    for prefix in itertools.product(*[axis] * (n - n_tail)):
         if prefix:
             block[:, : n - n_tail] = prefix
-        for lo in range(0, rows, run):
-            points = block
-            if run < rows:
-                # Only a one-axis tail outgrows a block: a run is a piece of
-                # it, computed as np.linspace computes its points.
-                hi = min(lo + run, count)
-                points = block[: hi - lo]
-                points[:, -1] = np.arange(lo, hi, dtype=float) * spacing - delta
-                if hi == count:
-                    points[-1, -1] = delta
-            vals = _batch_energy(S, h, points)
-            i = int(np.argmin(vals))
-            if vals[i] < best_val:
-                best_val = float(vals[i])
-                best_point = points[i].copy()
+        vals = _batch_energy(S, h, block)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val = float(vals[i])
+            best_point = block[i].copy()
 
     # A zero symmetric coupling has no 1/L step, and its lattice minimum is a
     # corner, which no step improves.
-    if polish_steps > 0 and S.any():
-        config = EcimConfig(iterations=polish_steps)
+    if S.any():
+        config = EcimConfig(iterations=POLISH_STEPS)
         trace = run_ecim(model, config, s0=best_point, keep_iterates=True)
         s = trace.iterates[-1].copy()
         polished = energy(model, s)
@@ -156,7 +124,9 @@ def grid_minimize_box(
             best_val = polished
             best_point = s
 
-    return OracleSolution(s_star=best_point, value=best_val, resolution=spacing)
+    return OracleSolution(
+        s_star=best_point, value=best_val, resolution=2.0 * delta / (count - 1)
+    )
 
 
 def exact_ball_minimize(model: QuadraticModel) -> OracleSolution:

@@ -45,8 +45,6 @@ class ExactBallSolver:
 class GridSolver:
     """Solve each subproblem with the exhaustive grid oracle."""
 
-    resolution: float = 0.01
-
 
 SubproblemSolver = Union[EcimConfig, ExactBallSolver, GridSolver]
 
@@ -164,7 +162,7 @@ def solve_subproblem(
     elif isinstance(solver, ExactBallSolver):
         u = exact_ball_minimize(work).s_star
     elif isinstance(solver, GridSolver):
-        u = grid_minimize_box(work, solver.resolution).s_star
+        u = grid_minimize_box(work).s_star
     else:
         raise TypeError(f"unknown solver spec {solver!r}")
     step = u if scaling is None else u / scaling

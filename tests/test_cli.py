@@ -46,20 +46,24 @@ def test_parse_seeds(tmp_path, capsys):
     assert _parse_ints("1,5,9") == [1, 5, 9]
     assert _parse_ints("4") == [4]
     for spec in ("", "5-3", "0,5-3", "0-3,2", "0,0"):
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError):
             _parse_ints(spec)
     # A reversed range is a usage error, not a shorter list, and a repeated
-    # value one, not a seed or horizon counted twice.
-    for argv in (
-        ["verify-bounds", "--seeds", "0,5-3"],
-        ["verify-bounds", "--n", "1", "--K", "1000", "--seeds", "0,0"],
-        ["rate-fit", "--ks", "316,1000,316,3162,10000"],
-        ["compare-oracles", "--dims", "2-3,2"],
+    # value one, not a seed or horizon counted twice; the message says which.
+    for argv, reason in (
+        (["verify-bounds", "--seeds", "0,5-3"], "reversed range '5-3'"),
+        (
+            ["verify-bounds", "--n", "1", "--K", "1000", "--seeds", "0,0"],
+            "repeated integers in '0,0'",
+        ),
+        (["rate-fit", "--ks", "316,1000,316,3162,10000"], "repeated integers"),
+        (["compare-oracles", "--dims", "2-3,2"], "repeated integers"),
     ):
         with pytest.raises(SystemExit) as info:
             main([*argv, "--out", str(tmp_path / "reports")])
         assert info.value.code == EXIT_USAGE
-        assert argv[-2] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert argv[-2] in err and reason in err, err
     assert not (tmp_path / "reports").exists()
     # The same parser reads --seeds, --ks and --dims.
     parser = build_parser()
@@ -296,15 +300,35 @@ def test_format_option_is_gone(tmp_path):
     assert not out.exists()
 
 
+def test_resolution_option_is_gone(tmp_path):
+    # The grid backend scans a fixed number of points per axis.
+    out = tmp_path / "reports"
+    argv = ["solve", "--problem", "quad2", "--solver", "grid", "--resolution", "0.05"]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(out)])
+    assert info.value.code == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_solve_grid_backend_converges_on_illscaled(tmp_path):
+    # illscaled has n = 4: the lattice holds 21^4 points at every radius,
+    # and the radius grows to 16 with scaling.
+    for scaling in ([], ["--use-scaling"]):
+        out = tmp_path / f"reports{len(scaling)}"
+        argv = ["solve", "--problem", "illscaled", "--solver", "grid", *scaling]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK, scaling
+        payload = json.loads(
+            (out / "solve-illscaled-grid-seed0.summary.json").read_text()
+        )
+        assert payload["converged"] is True, scaling
+
+
 def test_out_of_range_option_is_usage_error(tmp_path, capsys):
-    grid = ["--problem", "illscaled", "--use-scaling", "--solver", "grid"]
     for extra in (
         ["--problem", "quad2", "--delta0", "0"],
         ["--problem", "quad2", "--sigma2", "nan"],
         ["--problem", "quad2", "--beta0", "inf"],
         ["--problem", "quad2", "--gtol", "nan"],
-        # Once the radius grows to 4, the lattice has 161^4 points: past the cap.
-        [*grid, "--resolution", "0.05"],
     ):
         rc = main(["solve", *extra, "--out", str(tmp_path)])
         assert rc == EXIT_USAGE, extra

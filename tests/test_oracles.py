@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from itrust import (
     random_box_quadratic,
 )
 from itrust import oracles
-from itrust.oracles import GRID_MAX_DIM
+from itrust.oracles import GRID_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -26,80 +24,91 @@ from itrust.oracles import GRID_MAX_DIM
 def test_grid_one_dimensional_boundary_minimum():
     # E(s) = 0.5 s^2 + s has its unconstrained minimum at -1, clipped to -0.5.
     model = QuadraticModel(np.array([[1.0]]), np.array([1.0]), delta=0.5)
-    sol = grid_minimize_box(model, resolution=0.1)
+    sol = grid_minimize_box(model)
     assert np.allclose(sol.s_star, [-0.5], atol=1e-12)
     assert sol.value == pytest.approx(-0.375, abs=1e-12)
 
 
 def test_grid_interior_minimum_on_lattice():
     model = QuadraticModel(np.eye(2), np.array([-0.25, 0.25]), delta=0.5)
-    sol = grid_minimize_box(model, resolution=0.25)
+    sol = grid_minimize_box(model)
     assert np.allclose(sol.s_star, [0.25, -0.25], atol=1e-12)
     assert sol.value == pytest.approx(-0.0625, abs=1e-12)
 
 
 def test_grid_three_dimensional_interior():
     model = QuadraticModel(np.eye(3), np.full(3, -0.3), delta=0.5)
-    sol = grid_minimize_box(model, resolution=0.1)
+    sol = grid_minimize_box(model)
     assert np.allclose(sol.s_star, [0.3, 0.3, 0.3], atol=1e-10)
     assert sol.value == pytest.approx(-0.135, abs=1e-12)
 
 
 def test_grid_polish_beats_coarse_lattice():
-    # Minimizer -0.33 is off the 0.5-spaced lattice; polish must find it.
-    model = QuadraticModel(np.array([[1.0]]), np.array([0.33]), delta=1.0)
-    raw = grid_minimize_box(model, resolution=0.5, polish_steps=0)
-    assert raw.value == pytest.approx(-0.04, abs=1e-12)  # best lattice point -0.5
-    polished = grid_minimize_box(model, resolution=0.5)
-    assert np.allclose(polished.s_star, [-0.33], atol=1e-12)
-    assert polished.value == pytest.approx(0.5 * 0.33**2 - 0.33**2, abs=1e-12)
-    assert polished.value < raw.value
+    # Minimizer -0.3331 lies between the lattice points -0.334 and -0.332;
+    # the polish must find it.
+    model = QuadraticModel(np.array([[1.0]]), np.array([0.3331]), delta=1.0)
+    lattice = np.linspace(-1.0, 1.0, GRID_POINTS[1])
+    raw = float(np.min(0.5 * lattice**2 + 0.3331 * lattice))
+    assert raw == pytest.approx(0.5 * 0.3331**2 - 0.3331**2 + 0.5 * 0.0009**2)
+    polished = grid_minimize_box(model)
+    assert np.allclose(polished.s_star, [-0.3331], atol=1e-12)
+    assert polished.value == pytest.approx(0.5 * 0.3331**2 - 0.3331**2, abs=1e-12)
+    assert polished.value < raw
 
 
 def test_grid_realized_resolution():
-    # Requested 0.3 over a width-1 box snaps to 5 points spaced 0.25.
-    model = QuadraticModel(np.eye(1), np.zeros(1), delta=0.5)
-    sol = grid_minimize_box(model, resolution=0.3)
-    assert sol.resolution == pytest.approx(0.25, abs=1e-15)
+    for delta in (0.5, 3.0):
+        for n, count in GRID_POINTS.items():
+            model = QuadraticModel(np.eye(n), np.zeros(n), delta=delta)
+            sol = grid_minimize_box(model)
+            assert sol.resolution == 2.0 * delta / (count - 1), (delta, n)
+
+
+def test_grid_scans_the_same_points_at_any_radius(monkeypatch):
+    # The lattice is relative to delta: 201^2 points at delta = 0.5 and at 64.
+    scanned = []
+
+    def spy(S, h, points):
+        scanned[-1] += len(points)
+        return batch_energy(S, h, points)
+
+    batch_energy = oracles._batch_energy
+    monkeypatch.setattr(oracles, "_batch_energy", spy)
+    for delta in (0.5, 64.0):
+        scanned.append(0)
+        model = QuadraticModel(np.eye(2), np.array([0.3, -0.2]), delta=delta)
+        grid_minimize_box(model)
+    assert scanned == [GRID_POINTS[2] ** 2] * 2
 
 
 def test_grid_coarse_resolution_keeps_endpoints():
     model = QuadraticModel(np.array([[1.0]]), np.array([1.0]), delta=0.5)
-    sol = grid_minimize_box(model, resolution=10.0, polish_steps=0)
+    sol = grid_minimize_box(model)
     assert np.allclose(sol.s_star, [-0.5], atol=0.0)
 
 
 def test_grid_tie_break_is_lexicographic_and_stable():
     # Flat energy: every lattice point ties at 0, the first index wins.
     model = QuadraticModel(np.zeros((2, 2)), np.zeros(2), delta=0.5)
-    a = grid_minimize_box(model, resolution=0.25)
-    b = grid_minimize_box(model, resolution=0.25)
+    a = grid_minimize_box(model)
+    b = grid_minimize_box(model)
     assert np.allclose(a.s_star, [-0.5, -0.5], atol=0.0)
     assert np.array_equal(a.s_star, b.s_star)
     assert a.value == b.value == 0.0
 
 
 def test_grid_dimension_cap():
-    model = QuadraticModel(np.eye(GRID_MAX_DIM + 1), np.zeros(GRID_MAX_DIM + 1), 1.0)
-    with pytest.raises(OracleCapabilityError):
-        grid_minimize_box(model, resolution=0.5)
-    # A lattice past the point cap is refused before any scan: 4001^4 points.
-    model = QuadraticModel(np.eye(GRID_MAX_DIM), np.zeros(GRID_MAX_DIM), 100.0)
-    with pytest.raises(OracleCapabilityError, match="points"):
-        grid_minimize_box(model, resolution=0.05)
-
-
-def test_grid_rejects_bad_resolution():
-    model = QuadraticModel(np.eye(1), np.zeros(1), delta=1.0)
-    with pytest.raises(ValueError):
-        grid_minimize_box(model, resolution=0.0)
+    n = max(GRID_POINTS) + 1
+    model = QuadraticModel(np.eye(n), np.zeros(n), 1.0)
+    with pytest.raises(OracleCapabilityError, match="supports n <= 4"):
+        grid_minimize_box(model)
 
 
 def test_grid_beats_random_sampling():
     rng = np.random.default_rng(21)
     for seed in range(10):
         model = random_box_quadratic(2, seed=seed, kind="indefinite")
-        sol = grid_minimize_box(model, resolution=0.01)
+        sol = grid_minimize_box(model)
         samples = rng.uniform(-model.delta, model.delta, size=(2000, 2))
         sampled = min(energy(model, s) for s in samples)
         assert sol.value <= sampled + 1e-9, f"seed {seed}"
@@ -107,10 +116,9 @@ def test_grid_beats_random_sampling():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_grid_result_does_not_depend_on_slab_size(n, monkeypatch):
-    # Slabs of one axis, runs of 4 points along one axis, and one slab of the
-    # whole lattice: the same scan order, strict < between blocks and argmin
-    # within one give the same lexicographically first minimum, with the same
-    # energy bits.
+    # Slabs of one axis and one slab of the whole lattice: the same scan
+    # order, strict < between blocks and argmin within one give the same
+    # lexicographically first minimum, with the same energy bits.
     rng = np.random.default_rng(n)
     flat = np.zeros((n, n))
     ties = np.where(np.arange(n) % 2 == 0, 0.0, -1.0)
@@ -123,14 +131,12 @@ def test_grid_result_does_not_depend_on_slab_size(n, monkeypatch):
         # Minima on the plane sum(s) = 0, not a product of axes: the order of
         # the axes in the scan decides which one comes first.
         QuadraticModel(np.ones((n, n)), np.zeros(n), delta=0.5),
-        # Minimum at the last lattice point: at delta = 1.95 and 11 points,
-        # (count - 1) * spacing - delta overshoots delta by one ulp, so a run
-        # must end on delta itself, as np.linspace does.
+        # Minimum at the last lattice point, which is delta itself.
         QuadraticModel(flat, -np.ones(n), delta=1.95),
     ]
-    count = 11
+    count = GRID_POINTS[n]
 
-    def scan(slab_points, block_limit=oracles._BLOCK_LIMIT):
+    def scan(slab_points):
         sizes = set()
 
         def spy(S, h, points):
@@ -138,46 +144,21 @@ def test_grid_result_does_not_depend_on_slab_size(n, monkeypatch):
             return batch_energy(S, h, points)
 
         monkeypatch.setattr(oracles, "_SLAB_POINTS", slab_points)
-        monkeypatch.setattr(oracles, "_BLOCK_LIMIT", block_limit)
         monkeypatch.setattr(oracles, "_batch_energy", spy)
-        sols = [
-            grid_minimize_box(m, 2.0 * m.delta / (count - 1), polish_steps=polish)
-            for m in models
-            for polish in (0, 100)
-        ]
-        return sols, sizes
+        return [grid_minimize_box(m) for m in models], sizes
 
     batch_energy = oracles._batch_energy
     small, small_sizes = scan(1)
-    runs, run_sizes = scan(1, block_limit=4)
     whole, whole_sizes = scan(count**n)
     assert small_sizes == {count} and whole_sizes == {count**n}
-    assert run_sizes == {4, count % 4}
-    for a, b, c in zip(small, runs, whole):
-        assert a.s_star.tobytes() == b.s_star.tobytes() == c.s_star.tobytes()
-        assert repr(a.value) == repr(b.value) == repr(c.value)
-    tied, flat_sol = small[4], small[6]  # models 2 and 3, no polish
+    for a, b in zip(small, whole):
+        assert a.s_star.tobytes() == b.s_star.tobytes()
+        assert repr(a.value) == repr(b.value)
+    tied, flat_sol = small[2], small[3]  # zero couplings: no polish
     expected = np.where(ties == 0.0, -0.5, 0.5)
     assert tied.s_star.tobytes() == expected.tobytes()
     assert np.all(flat_sol.s_star == -0.5)
-    assert np.all(small[10].s_star == 1.95)  # model 5, no polish
-
-
-def test_grid_scan_of_one_long_axis_holds_less_than_the_axis(monkeypatch):
-    # Past _BLOCK_LIMIT points an axis is built and evaluated in runs: the
-    # scan holds a few arrays one run long, never the whole axis.
-    monkeypatch.setattr(oracles, "_BLOCK_LIMIT", 4096)
-    model = QuadraticModel(np.array([[1.0]]), np.array([0.3]), delta=0.5)
-    tracemalloc.start()
-    try:
-        sol = grid_minimize_box(model, 1e-5, polish_steps=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    axis_bytes = 8 * (round(2 * model.delta / sol.resolution) + 1)
-    assert axis_bytes > 8 * 10**5
-    assert peak < 0.5 * axis_bytes
-    assert sol.s_star[0] == pytest.approx(-0.3, abs=1e-5)
+    assert np.all(small[5].s_star == 1.95)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +302,7 @@ def test_oracles_agree_on_planted_interior_minimum():
             ball = exact_ball_minimize(model)
             assert ball.value == pytest.approx(e_star, abs=1e-10)
             assert np.allclose(ball.s_star, s_star, atol=1e-8)
-        grid = grid_minimize_box(model, resolution=0.01, polish_steps=400)
+        grid = grid_minimize_box(model)
         assert grid.value == pytest.approx(e_star, abs=1e-9)
 
 
@@ -331,5 +312,5 @@ def test_box_minimum_never_exceeds_ball_minimum():
         for kind in ("psd", "indefinite", "singular"):
             model = random_box_quadratic(2, seed=seed, kind=kind)
             ball = exact_ball_minimize(model)
-            grid = grid_minimize_box(model, resolution=0.005, polish_steps=400)
+            grid = grid_minimize_box(model)
             assert grid.value <= ball.value + 1e-8, f"seed {seed} kind {kind}"

@@ -145,7 +145,7 @@ def test_config_validation():
 
 def test_solvers_agree_on_zero_field():
     model = QuadraticModel(np.diag([1.0, 2.0]), np.zeros(2), delta=0.5)
-    for solver in (EcimConfig(iterations=500), ExactBallSolver(), GridSolver(0.05)):
+    for solver in (EcimConfig(iterations=500), ExactBallSolver(), GridSolver()):
         step, value = solve_subproblem(model, solver, seed=0)
         assert np.allclose(step, 0.0, atol=1e-6), solver
         assert value == pytest.approx(0.0, abs=1e-10)
@@ -162,7 +162,7 @@ def test_machine_matches_references_on_random_subproblems():
             model, EcimConfig(iterations=4000, sigma2=0.0, seed=seed)
         ).best_energy
         _, e_ball = solve_subproblem(model, ExactBallSolver(), seed=seed)
-        grid = grid_minimize_box(model, resolution=0.005, polish_steps=400)
+        grid = grid_minimize_box(model)
         assert e_ecim <= e_ball + 1e-6, f"seed {seed}"
         assert abs(e_ecim - grid.value) <= 1e-4, f"seed {seed}"
 
@@ -463,7 +463,7 @@ def test_scaling_speeds_up_ill_conditioned_problem():
 def test_grid_solver_backend():
     p = get_problem("quad2")
     config = TrustRegionConfig(
-        solver=GridSolver(resolution=0.02), iterations=40, gtol=1e-6, **TUNED
+        solver=GridSolver(), iterations=40, gtol=1e-6, **TUNED
     )
     trace = itrust(p.objective, config, p.start)
     assert trace.converged
