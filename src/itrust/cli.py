@@ -117,13 +117,15 @@ def _parse_ints(spec: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:
-            lo, hi = (int(v) for v in part.split("-", 1))
-            if hi < lo:
-                raise argparse.ArgumentTypeError(f"reversed range {part!r}")
-            values.extend(range(lo, hi + 1))
-        else:
-            values.append(int(part))
+        is_range = "-" in part[1:]
+        try:
+            lo, hi = map(int, part.split("-", 1)) if is_range else (int(part),) * 2
+        except ValueError:
+            kind = "integer range" if is_range else "integer"
+            raise argparse.ArgumentTypeError(f"not an {kind}: {part!r}") from None
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"reversed range {part!r}")
+        values.extend(range(lo, hi + 1))
     if not values:
         raise argparse.ArgumentTypeError(f"no integers in {spec!r}")
     if len(set(values)) < len(values):
@@ -134,7 +136,10 @@ def _parse_ints(spec: str) -> list[int]:
 def _parse_beta0(spec: str):
     if spec.lower() in ("auto", "none", ""):
         return None
-    return float(spec)
+    try:
+        return float(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {spec!r}") from None
 
 
 def _experiment_options(options: dict) -> dict:

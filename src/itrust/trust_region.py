@@ -4,7 +4,9 @@ Each outer iteration builds the local quadratic model, hands it to one of
 three interchangeable subproblem backends (the iterative machine, the exact
 ball solver on the inscribed ball, or the grid oracle), and adapts the trust
 radius from the realized-versus-predicted reduction. The machine backend
-runs the machine's inexact variant with momentum, not the paper's machine.
+runs the machine's inexact variant with momentum, not the paper's machine,
+and neither it nor the grid runs when the model is positive definite with
+its Newton point in the box: that point is returned instead.
 """
 
 from __future__ import annotations
@@ -113,6 +115,22 @@ def update_radius(
     return delta
 
 
+def _interior_minimizer(model: QuadraticModel, tol: float) -> np.ndarray | None:
+    """The Newton point ``u = -S^-1 h`` of a positive definite model when it
+    lies in the box and ``||S u + h|| <= tol``, else None. There it is the
+    model's unique minimum on the box (Nocedal & Wright, section 16.7)."""
+    S = model.symmetric_coupling()
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+    u = np.linalg.solve(S, -model.field)
+    residual = np.linalg.norm(S @ u + model.field)
+    if np.max(np.abs(u)) <= model.delta and residual <= tol:
+        return u
+    return None
+
+
 def solve_subproblem(
     model: QuadraticModel,
     solver: SubproblemSolver,
@@ -138,6 +156,14 @@ def solve_subproblem(
     a Cauchy-like point, and the best iterate it returns is never worse than
     that step; from either start it is never worse than 0. Started at 0
     without noise, a zero field stops it there after one step.
+
+    The machine and grid backends first try the interior finish: when the
+    working model's symmetric coupling S is positive definite (its Cholesky
+    factorization succeeds) and its Newton point ``u = -S^-1 h`` lies in the
+    box with ``||S u + h||`` within the same forcing tolerance, that point is
+    the model's unique minimum on the box, and it is returned without running
+    the machine (or its noise) or the grid. The exact ball backend keeps its
+    own solve, since its constraint is the ball.
     """
     work = model
     if scaling is not None:
@@ -149,20 +175,22 @@ def solve_subproblem(
         work = QuadraticModel(
             model.coupling * np.outer(inv, inv), model.field * inv, model.delta
         )
+    h_norm = float(np.linalg.norm(work.field))
+    tol = min(0.1, h_norm) * h_norm
     if isinstance(solver, EcimConfig):
-        if s0 is not None:
-            s0 = project_box(s0, work.delta)
-            if not energy(work, s0) < 0.0:
-                s0 = None
-        h_norm = float(np.linalg.norm(work.field))
-        trace = run_ecim(
-            work, replace(solver, seed=seed), s0, tol=min(0.1, h_norm) * h_norm
-        )
-        u = trace.best_iterate
+        u = _interior_minimizer(work, tol)
+        if u is None:
+            if s0 is not None:
+                s0 = project_box(s0, work.delta)
+                if not energy(work, s0) < 0.0:
+                    s0 = None
+            u = run_ecim(work, replace(solver, seed=seed), s0, tol=tol).best_iterate
     elif isinstance(solver, ExactBallSolver):
         u = exact_ball_minimize(work).s_star
     elif isinstance(solver, GridSolver):
-        u = grid_minimize_box(work).s_star
+        u = _interior_minimizer(work, tol)
+        if u is None:
+            u = grid_minimize_box(work).s_star
     else:
         raise TypeError(f"unknown solver spec {solver!r}")
     step = u if scaling is None else u / scaling

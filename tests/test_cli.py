@@ -45,13 +45,17 @@ def test_parse_seeds(tmp_path, capsys):
     assert _parse_ints("0-3") == [0, 1, 2, 3]
     assert _parse_ints("1,5,9") == [1, 5, 9]
     assert _parse_ints("4") == [4]
-    for spec in ("", "5-3", "0,5-3", "0-3,2", "0,0"):
+    for spec in ("", "5-3", "0,5-3", "0-3,2", "0,0", "a", "1-", "0,x-3"):
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_ints(spec)
     # A reversed range is a usage error, not a shorter list, and a repeated
-    # value one, not a seed or horizon counted twice; the message says which.
+    # value one, not a seed or horizon counted twice; the message says which,
+    # and names a part that is not an integer.
     for argv, reason in (
         (["verify-bounds", "--seeds", "0,5-3"], "reversed range '5-3'"),
+        (["verify-bounds", "--seeds", "a"], "not an integer: 'a'"),
+        (["verify-bounds", "--seeds", "1-"], "not an integer range: '1-'"),
+        (["rate-fit", "--ks", "316,1e3"], "not an integer: '1e3'"),
         (
             ["verify-bounds", "--n", "1", "--K", "1000", "--seeds", "0,0"],
             "repeated integers in '0,0'",
@@ -215,11 +219,14 @@ def test_solve_divergent_machine_fails_every_iteration_and_shrinks(tmp_path):
     # A huge fixed step on a huge radius blows up every subproblem. Each
     # diverged solve is a failed, rejected iteration that shrinks the radius;
     # the run itself completes and reports through its trace and summary.
+    # plquad's Hessian at its start is singular, so the interior finish does
+    # not take its model and the machine runs; quad2's is positive definite
+    # with its Newton point in the box, and the finish solves it.
     rc = main(
         [
             "solve",
             "--problem",
-            "quad2",
+            "plquad",
             "--solver",
             "ecim",
             "--K",
@@ -240,10 +247,10 @@ def test_solve_divergent_machine_fails_every_iteration_and_shrinks(tmp_path):
     )
     assert rc == EXIT_OK
     payload = json.loads(
-        (tmp_path / "solve-quad2-ecim-seed0.summary.json").read_text()
+        (tmp_path / "solve-plquad-ecim-seed0.summary.json").read_text()
     )
     assert payload["converged"] is False
-    trace = (tmp_path / "solve-quad2-ecim-seed0.trace.csv").read_text()
+    trace = (tmp_path / "solve-plquad-ecim-seed0.trace.csv").read_text()
     rows = [line.split(",") for line in trace.splitlines()[1:]]
     assert len(rows) == 3
     assert all(row[-1] == "1" and row[-2] == "0" for row in rows)
@@ -323,6 +330,21 @@ def test_solve_grid_backend_converges_on_illscaled(tmp_path):
         assert payload["converged"] is True, scaling
 
 
+def test_solve_grid_backend_converges_on_rosenbrock2(tmp_path):
+    # The grid's 201-point lattice and 400 polish steps stop short of an
+    # ill-conditioned model's interior minimizer: taking their point, the
+    # outer loop moves like gradient descent and meets gtol only at
+    # iteration 100 of 100. The interior finish takes the Newton point and
+    # converges in 29.
+    argv = ["solve", "--problem", "rosenbrock2", "--solver", "grid"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    payload = json.loads(
+        (tmp_path / "solve-rosenbrock2-grid-seed0.summary.json").read_text()
+    )
+    assert payload["converged"] is True
+    assert payload["iterations"] <= 40
+
+
 def test_out_of_range_option_is_usage_error(tmp_path, capsys):
     for extra in (
         ["--problem", "quad2", "--delta0", "0"],
@@ -333,6 +355,11 @@ def test_out_of_range_option_is_usage_error(tmp_path, capsys):
         rc = main(["solve", *extra, "--out", str(tmp_path)])
         assert rc == EXIT_USAGE, extra
         assert "usage error" in capsys.readouterr().err
+    # A --beta0 that is not a number is named by the parser.
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--problem", "quad2", "--beta0", "abc", "--out", str(tmp_path)])
+    assert info.value.code == EXIT_USAGE
+    assert "argument --beta0: not a number: 'abc'" in capsys.readouterr().err
 
 
 def test_csv_writer_cell_formats(tmp_path):

@@ -1,10 +1,13 @@
 """Properties of the subproblem backends: the trust region's machine is
-never worse than its first step, and the exact ball solve meets the
-optimality conditions of the ball-constrained quadratic."""
+never worse than its first step, its interior finish is never worse than the
+machine, and the exact ball solve meets the optimality conditions of the
+ball-constrained quadratic."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from itrust import (
     exact_ball_minimize,
     project_box,
     random_box_quadratic,
+    run_ecim,
     solve_subproblem,
     step_sizes,
 )
@@ -66,6 +70,81 @@ def test_machine_step_is_no_worse_than_the_first_projected_step(
         assert value <= first + roundoff
         cold, _ = solve_subproblem(model, config, seed=seed, scaling=scaling)
         assert np.array_equal(step, cold)
+
+
+def _forcing_tolerance(model: QuadraticModel) -> float:
+    h_norm = float(np.linalg.norm(model.field))
+    return min(0.1, h_norm) * h_norm
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(
+    n=st.integers(1, 6),
+    kind=st.sampled_from(INSTANCE_KINDS),
+    seed=st.integers(0, 2**16),
+    scaled=st.booleans(),
+    sigma2=st.sampled_from((0.0, 1e-4)),
+)
+def test_machine_backend_is_no_worse_than_the_machine(n, kind, seed, scaled, sigma2):
+    # The backend's value is at most the best energy of the machine run it
+    # would make on the working model. A step returned without a machine run
+    # (the interior finish) lies in the box of a positive definite model.
+    model = random_box_quadratic(n, seed, kind=kind)
+    d = np.random.default_rng(seed).uniform(0.5, 4.0, n) if scaled else np.ones(n)
+    work = QuadraticModel(
+        model.coupling * np.outer(1.0 / d, 1.0 / d), model.field / d, model.delta
+    )
+    config = EcimConfig(iterations=300, sigma2=sigma2)
+    with mock.patch("itrust.trust_region.run_ecim", wraps=run_ecim) as spy:
+        step, value = solve_subproblem(
+            model, config, seed=seed, scaling=d if scaled else None
+        )
+    machine = run_ecim(
+        work, replace(config, seed=seed), tol=_forcing_tolerance(work)
+    ).best_energy
+    assert value <= machine + 1e-12 * max(1.0, abs(machine))
+    assert np.max(np.abs(d * step)) <= model.delta
+    if not spy.called:
+        assert np.linalg.eigvalsh(work.symmetric_coupling())[0] > 0.0
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(n=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_machine_backend_returns_the_planted_minimizer(n, seed):
+    # kind="pl" plants s* in the inner 60% of the box with h = -J s*; the
+    # draws below replay the generator's to recover s*. The finish returns
+    # it without a machine run.
+    model = random_box_quadratic(n, seed, kind="pl")
+    rng = np.random.default_rng(seed)
+    rng.normal(size=(n, n))
+    rng.uniform(0.4, 2.0, n)
+    s_star = rng.uniform(-0.6 * model.delta, 0.6 * model.delta, n)
+    with mock.patch("itrust.trust_region.run_ecim", wraps=run_ecim) as spy:
+        step, value = solve_subproblem(model, EcimConfig(), seed=seed)
+    assert not spy.called
+    assert np.max(np.abs(step - s_star)) <= 1e-12
+    assert value == energy(model, step)
+
+
+def test_finish_declines_a_newton_point_that_misses_the_tolerance():
+    # Positive definite but nearly singular (eigenvalues 1 and 1e-10), with
+    # the field along the soft direction: the Newton point 0.4 q lies in the
+    # box, but ||h|| = 4e-11 sets a tolerance of 1.6e-21, below the solve's
+    # roundoff. The backend then runs the machine, bit for bit.
+    c, s = math.cos(0.5), math.sin(0.5)
+    Q = np.array([[c, -s], [s, c]])
+    S = (Q * np.array([1.0, 1e-10])) @ Q.T
+    S = 0.5 * (S + S.T)
+    model = QuadraticModel(S, -1e-10 * 0.4 * Q[:, 1], delta=1.0)
+    tol = _forcing_tolerance(model)
+    np.linalg.cholesky(S)
+    newton = np.linalg.solve(S, -model.field)
+    assert np.max(np.abs(newton)) <= model.delta
+    assert np.linalg.norm(S @ newton + model.field) > tol
+    config = EcimConfig(iterations=200)
+    step, _ = solve_subproblem(model, config, seed=3)
+    machine = run_ecim(model, replace(config, seed=3), tol=tol)
+    assert np.array_equal(step, machine.best_iterate)
 
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)

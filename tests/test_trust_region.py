@@ -171,6 +171,19 @@ def test_machine_backend_stops_at_forcing_tolerance(monkeypatch):
     # Condition number 1000 and an interior minimum: the plain 1/L step needs
     # thousands of steps to bring the gradient mapping within the forcing
     # tolerance; momentum needs a few hundred, and the run stops there.
+    # ||h|| = 0.042 sets the tolerance ||h||^2 = 1.8e-3; the soft coordinate
+    # (curvature 1, step 1/1000) takes about 2800 plain steps to reach it.
+    h = np.array([-0.03, 0.03])
+    model = QuadraticModel(np.diag([1.0, 1000.0]), h, delta=1.0)
+    config = EcimConfig(iterations=3000)
+    h_norm = float(np.linalg.norm(h))
+    trace = run_ecim(model, config, tol=min(0.1, h_norm) * h_norm)
+    assert trace.stop_index < 500
+    s_star = np.array([0.03, -3e-5])
+    assert np.linalg.norm(trace.best_iterate - s_star) <= 2e-3
+    assert trace.best_energy - energy(model, s_star) <= 1e-5
+    # The model is positive definite with its Newton point s* in the box, so
+    # the backend returns s* by the interior finish and runs no machine.
     traces = []
 
     def spy(*args, **kwargs):
@@ -178,16 +191,10 @@ def test_machine_backend_stops_at_forcing_tolerance(monkeypatch):
         return traces[-1]
 
     monkeypatch.setattr("itrust.trust_region.run_ecim", spy)
-    # ||h|| = 0.042 sets the tolerance ||h||^2 = 1.8e-3; the soft coordinate
-    # (curvature 1, step 1/1000) takes about 2800 plain steps to reach it.
-    h = np.array([-0.03, 0.03])
-    model = QuadraticModel(np.diag([1.0, 1000.0]), h, delta=1.0)
-    step, value = solve_subproblem(model, EcimConfig(iterations=3000), seed=0)
-    (trace,) = traces
-    assert trace.stop_index < 500
-    s_star = np.array([0.03, -3e-5])
-    assert np.linalg.norm(step - s_star) <= 2e-3
-    assert value - energy(model, s_star) <= 1e-5
+    step, value = solve_subproblem(model, config, seed=0)
+    assert not traces
+    assert np.max(np.abs(step - s_star)) <= 1e-12
+    assert value == energy(model, step)
     # A zero field, where 0 is stationary, stops the run after one step.
     model = QuadraticModel(np.diag([1.0, -2.0]), np.zeros(2), delta=1.0)
     step, value = solve_subproblem(model, EcimConfig(iterations=3000), seed=0)
@@ -382,11 +389,14 @@ def test_warm_start_runs_and_converges(monkeypatch):
     # quad2 converges in one step, before any warm start; illscaled takes
     # several. Each later machine run starts at the last step mapped into
     # solver coordinates and clipped to the box when that point has negative
-    # working-model energy, and at 0 otherwise.
+    # working-model energy, and at 0 otherwise. An iteration that the
+    # interior finish solves runs no machine, so the spy keeps each run's
+    # iteration t (its seed less the base seed) and each warm start is
+    # compared with record t - 1.
     runs = []
 
     def spy(model, config, s0=None, tol=None):
-        runs.append((model, s0))
+        runs.append((config.seed - 5, model, s0))
         return run_ecim(model, config, s0, tol=tol)
 
     monkeypatch.setattr("itrust.trust_region.run_ecim", spy)
@@ -406,10 +416,13 @@ def test_warm_start_runs_and_converges(monkeypatch):
     assert trace.n_iterations > 1
     assert np.max(np.abs(trace.theta_final - p.theta_star)) <= 1e-6
     records = trace.records
-    assert runs[0][1] is None and all(r.accepted for r in records)
+    assert all(r.accepted for r in records)
     warm = 0
-    for (work, s0), previous in zip(runs[1:], records):
-        start = project_box(p.scaling * previous.step, work.delta)
+    for t, work, s0 in runs:
+        if t == 0:
+            assert s0 is None
+            continue
+        start = project_box(p.scaling * records[t - 1].step, work.delta)
         if energy(work, start) < 0.0:
             assert np.array_equal(s0, start)
             warm += 1
