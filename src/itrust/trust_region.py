@@ -5,8 +5,8 @@ three interchangeable subproblem backends (the iterative machine, the exact
 ball solver on the inscribed ball, or the grid oracle), and adapts the trust
 radius from the realized-versus-predicted reduction. The machine backend
 runs the machine's inexact variant with momentum, not the paper's machine,
-and neither it nor the grid runs when the model is positive definite with
-its Newton point in the box: that point is returned instead.
+and neither it nor the grid runs when the model is positive definite and
+its box minimum is found by active sets: that point is returned instead.
 """
 
 from __future__ import annotations
@@ -115,19 +115,42 @@ def update_radius(
     return delta
 
 
-def _interior_minimizer(model: QuadraticModel, tol: float) -> np.ndarray | None:
-    """The Newton point ``u = -S^-1 h`` of a positive definite model when it
-    lies in the box and ``||S u + h|| <= tol``, else None. There it is the
-    model's unique minimum on the box (Nocedal & Wright, section 16.7)."""
-    S = model.symmetric_coupling()
+def _box_minimizer(model: QuadraticModel, tol: float) -> np.ndarray | None:
+    """The unique box minimum of a positive definite model, else None.
+
+    The Newton point ``u = -S^-1 h`` is returned when it lies in the box and
+    ``||S u + h|| <= tol``. When it lies outside, primal-dual active sets
+    start from its face (Hintermueller, Ito & Kunisch 2002): each iteration
+    fixes the coordinates in ``up`` at +delta and in ``lo`` at -delta,
+    solves ``S_FF u_F = -(h_F + S_FB u_B)`` for the free ones, and moves to
+    the free coordinates that left the box plus the fixed ones whose
+    gradient still points out. Settled sets meet the KKT conditions, and the
+    gradient-mapping norm of their point is at most the face residual. A
+    residual above ``tol``, or sets that revisit an earlier pair, give None.
+    """
+    S, h, delta = model.symmetric_coupling(), model.field, model.delta
     try:
         np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return None
-    u = np.linalg.solve(S, -model.field)
-    residual = np.linalg.norm(S @ u + model.field)
-    if np.max(np.abs(u)) <= model.delta and residual <= tol:
-        return u
+    u = np.linalg.solve(S, -h)
+    up, lo = u > delta, u < -delta
+    if not (up.any() or lo.any()):
+        return u if np.linalg.norm(S @ u + h) <= tol else None
+    seen = set()
+    while (sets := (up.tobytes(), lo.tobytes())) not in seen:
+        seen.add(sets)
+        free = ~(up | lo)
+        u = np.where(up, delta, np.where(lo, -delta, 0.0))
+        rhs = -(h[free] + S[np.ix_(free, ~free)] @ u[~free])
+        u[free] = np.linalg.solve(S[np.ix_(free, free)], rhs)
+        g = S @ u + h
+        if np.linalg.norm(g[free]) > tol:
+            return None
+        up = (free & (u > delta)) | (up & (g < 0.0))
+        lo = (free & (u < -delta)) | (lo & (g > 0.0))
+        if (up.tobytes(), lo.tobytes()) == sets:
+            return u
     return None
 
 
@@ -157,13 +180,17 @@ def solve_subproblem(
     that step; from either start it is never worse than 0. Started at 0
     without noise, a zero field stops it there after one step.
 
-    The machine and grid backends first try the interior finish: when the
+    The machine and grid backends first try the box finish: when the
     working model's symmetric coupling S is positive definite (its Cholesky
-    factorization succeeds) and its Newton point ``u = -S^-1 h`` lies in the
-    box with ``||S u + h||`` within the same forcing tolerance, that point is
-    the model's unique minimum on the box, and it is returned without running
-    the machine (or its noise) or the grid. The exact ball backend keeps its
-    own solve, since its constraint is the ball.
+    factorization succeeds), its Newton point ``u = -S^-1 h`` is returned if
+    it lies in the box with ``||S u + h||`` within the same forcing
+    tolerance. Otherwise primal-dual active sets run from the Newton point's
+    face, one face solve an iteration, until the sets settle at the model's
+    unique minimum on the box, which is returned without running the machine
+    (or its noise) or the grid. A face solve whose residual misses the
+    forcing tolerance, or sets that cycle, hand the model to the backend.
+    The exact ball backend keeps its own solve, since its constraint is the
+    ball.
     """
     work = model
     if scaling is not None:
@@ -178,7 +205,7 @@ def solve_subproblem(
     h_norm = float(np.linalg.norm(work.field))
     tol = min(0.1, h_norm) * h_norm
     if isinstance(solver, EcimConfig):
-        u = _interior_minimizer(work, tol)
+        u = _box_minimizer(work, tol)
         if u is None:
             if s0 is not None:
                 s0 = project_box(s0, work.delta)
@@ -188,7 +215,7 @@ def solve_subproblem(
     elif isinstance(solver, ExactBallSolver):
         u = exact_ball_minimize(work).s_star
     elif isinstance(solver, GridSolver):
-        u = _interior_minimizer(work, tol)
+        u = _box_minimizer(work, tol)
         if u is None:
             u = grid_minimize_box(work).s_star
     else:

@@ -219,9 +219,9 @@ def test_solve_divergent_machine_fails_every_iteration_and_shrinks(tmp_path):
     # A huge fixed step on a huge radius blows up every subproblem. Each
     # diverged solve is a failed, rejected iteration that shrinks the radius;
     # the run itself completes and reports through its trace and summary.
-    # plquad's Hessian at its start is singular, so the interior finish does
-    # not take its model and the machine runs; quad2's is positive definite
-    # with its Newton point in the box, and the finish solves it.
+    # plquad's Hessian at its start is singular, so the box finish does not
+    # take its model and the machine runs; quad2's is positive definite, and
+    # the finish solves it.
     rc = main(
         [
             "solve",
@@ -317,25 +317,32 @@ def test_resolution_option_is_gone(tmp_path):
     assert not out.exists()
 
 
-def test_solve_grid_backend_converges_on_illscaled(tmp_path):
-    # illscaled has n = 4: the lattice holds 21^4 points at every radius,
-    # and the radius grows to 16 with scaling.
-    for scaling in ([], ["--use-scaling"]):
-        out = tmp_path / f"reports{len(scaling)}"
-        argv = ["solve", "--problem", "illscaled", "--solver", "grid", *scaling]
-        assert main([*argv, "--out", str(out)]) == EXIT_OK, scaling
-        payload = json.loads(
-            (out / "solve-illscaled-grid-seed0.summary.json").read_text()
-        )
-        assert payload["converged"] is True, scaling
+def test_solve_grid_backend_converges_on_plquad(tmp_path, monkeypatch):
+    # plquad's Hessian is singular, so the box finish declines its models
+    # and the grid solves them; illscaled's and quad2's are positive
+    # definite, and the finish solves every one without the grid.
+    calls = []
+
+    def spy(model):
+        calls.append(model)
+        return itrust.oracles.grid_minimize_box(model)
+
+    monkeypatch.setattr("itrust.trust_region.grid_minimize_box", spy)
+    argv = ["solve", "--problem", "plquad", "--solver", "grid"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    payload = json.loads(
+        (tmp_path / "solve-plquad-grid-seed0.summary.json").read_text()
+    )
+    assert payload["converged"] is True
+    assert calls
 
 
 def test_solve_grid_backend_converges_on_rosenbrock2(tmp_path):
     # The grid's 201-point lattice and 400 polish steps stop short of an
     # ill-conditioned model's interior minimizer: taking their point, the
     # outer loop moves like gradient descent and meets gtol only at
-    # iteration 100 of 100. The interior finish takes the Newton point and
-    # converges in 29.
+    # iteration 100 of 100. The box finish takes the Newton point or the
+    # active-set point and converges in 29.
     argv = ["solve", "--problem", "rosenbrock2", "--solver", "grid"]
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
     payload = json.loads(
@@ -343,6 +350,19 @@ def test_solve_grid_backend_converges_on_rosenbrock2(tmp_path):
     )
     assert payload["converged"] is True
     assert payload["iterations"] <= 40
+
+
+def test_solve_ecim_converges_on_rosenbrock10_within_50_iterations(tmp_path):
+    # At the CLI defaults the box finish solves every positive definite
+    # model, inside the box or on one of its faces; the run converges in 46
+    # iterations, where the machine alone on those models took 66.
+    argv = ["solve", "--problem", "rosenbrock10", "--solver", "ecim"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    payload = json.loads(
+        (tmp_path / "solve-rosenbrock10-ecim-seed0.summary.json").read_text()
+    )
+    assert payload["converged"] is True
+    assert payload["iterations"] <= 50
 
 
 def test_out_of_range_option_is_usage_error(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Properties of the subproblem backends: the trust region's machine is
-never worse than its first step, its interior finish is never worse than the
-machine, and the exact ball solve meets the optimality conditions of the
-ball-constrained quadratic."""
+never worse than its first step, its box finish is never worse than the
+machine or the grid oracle and declines what it cannot settle, and the exact
+ball solve meets the optimality conditions of the ball-constrained
+quadratic."""
 
 from __future__ import annotations
 
@@ -17,12 +18,14 @@ from itrust import (
     QuadraticModel,
     energy,
     exact_ball_minimize,
+    grid_minimize_box,
     project_box,
     random_box_quadratic,
     run_ecim,
     solve_subproblem,
     step_sizes,
 )
+from itrust.ecim import smoothness
 from itrust.objectives import INSTANCE_KINDS
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -88,7 +91,7 @@ def _forcing_tolerance(model: QuadraticModel) -> float:
 def test_machine_backend_is_no_worse_than_the_machine(n, kind, seed, scaled, sigma2):
     # The backend's value is at most the best energy of the machine run it
     # would make on the working model. A step returned without a machine run
-    # (the interior finish) lies in the box of a positive definite model.
+    # (the box finish) lies in the box of a positive definite model.
     model = random_box_quadratic(n, seed, kind=kind)
     d = np.random.default_rng(seed).uniform(0.5, 4.0, n) if scaled else np.ones(n)
     work = QuadraticModel(
@@ -144,6 +147,68 @@ def test_finish_declines_a_newton_point_that_misses_the_tolerance():
     config = EcimConfig(iterations=200)
     step, _ = solve_subproblem(model, config, seed=3)
     machine = run_ecim(model, replace(config, seed=3), tol=tol)
+    assert np.array_equal(step, machine.best_iterate)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    reach=st.floats(1.01, 30.0),
+)
+def test_finish_solves_every_face_of_a_positive_definite_model(n, seed, reach):
+    # The field is scaled so that the Newton point lies reach times the box
+    # half-width out. Active sets settle on every such strongly convex
+    # model: the step is the box minimum, at or below the grid oracle's
+    # value, no machine runs, and its gradient mapping with step 1/L is
+    # within the forcing tolerance, the machine's own stop test.
+    base = random_box_quadratic(n, seed, kind="strongly-convex")
+    S = base.symmetric_coupling()
+    newton = np.linalg.solve(S, -base.field)
+    field = base.field * (reach * base.delta / np.max(np.abs(newton)))
+    model = QuadraticModel(base.coupling, field, base.delta)
+    with mock.patch("itrust.trust_region.run_ecim", wraps=run_ecim) as spy:
+        step, value = solve_subproblem(model, EcimConfig(), seed=seed)
+    assert not spy.called
+    grid = grid_minimize_box(model).value
+    assert value <= grid + 1e-12 * max(1.0, abs(grid))
+    L = smoothness(S)
+    g = S @ step + field
+    mapping = L * (step - project_box(step - g / L, model.delta))
+    assert np.max(np.abs(step)) <= model.delta
+    assert np.linalg.norm(mapping) <= _forcing_tolerance(model)
+
+
+def test_finish_hands_a_cycling_model_to_the_machine():
+    # Found by a search over dense positive definite models A A^T + 0.01 I
+    # at n = 3 with a standard normal field (default_rng(391)). The Newton
+    # point has face (-, +, -); active sets then visit (-, 0, -), (-, 0, 0),
+    # (-, -, +), (0, -, 0) and (-, 0, -) again. The backend declines and
+    # runs the machine, bit for bit.
+    rng = np.random.default_rng(391)
+    A = rng.normal(size=(3, 3))
+    model = QuadraticModel(A @ A.T + 0.01 * np.eye(3), rng.normal(size=3), delta=1.0)
+    config = EcimConfig(iterations=500)
+    step, _ = solve_subproblem(model, config, seed=2)
+    machine = run_ecim(model, replace(config, seed=2), tol=_forcing_tolerance(model))
+    assert np.array_equal(step, machine.best_iterate)
+
+
+def test_finish_declines_a_face_solve_that_misses_the_tolerance():
+    # The nearly singular model of the Newton-point test above, with the
+    # field along the soft direction q at twice the length: the Newton point
+    # 2 q lies outside the box, and the solve on its face leaves a residual
+    # of roundoff size, above the tolerance 4e-20. The backend runs the
+    # machine, bit for bit.
+    c, s = math.cos(0.5), math.sin(0.5)
+    Q = np.array([[c, -s], [s, c]])
+    S = (Q * np.array([1.0, 1e-10])) @ Q.T
+    S = 0.5 * (S + S.T)
+    model = QuadraticModel(S, -1e-10 * 2.0 * Q[:, 1], delta=1.0)
+    assert np.max(np.abs(np.linalg.solve(S, -model.field))) > model.delta
+    config = EcimConfig(iterations=200)
+    step, _ = solve_subproblem(model, config, seed=3)
+    machine = run_ecim(model, replace(config, seed=3), tol=_forcing_tolerance(model))
     assert np.array_equal(step, machine.best_iterate)
 
 

@@ -19,6 +19,7 @@ from itrust import (
     TrustRegionConfig,
     energy,
     get_problem,
+    grid_minimize_box,
     itrust,
     problem_suite,
     project_box,
@@ -154,8 +155,6 @@ def test_solvers_agree_on_zero_field():
 def test_machine_matches_references_on_random_subproblems():
     # The paper's machine; solve_subproblem's inexact backend is checked in
     # tests/test_subproblem_properties.py.
-    from itrust import grid_minimize_box
-
     for seed in range(10):
         model = random_box_quadratic(2, seed=seed, kind="psd")
         e_ecim = run_ecim(
@@ -183,7 +182,7 @@ def test_machine_backend_stops_at_forcing_tolerance(monkeypatch):
     assert np.linalg.norm(trace.best_iterate - s_star) <= 2e-3
     assert trace.best_energy - energy(model, s_star) <= 1e-5
     # The model is positive definite with its Newton point s* in the box, so
-    # the backend returns s* by the interior finish and runs no machine.
+    # the backend returns s* by the box finish and runs no machine.
     traces = []
 
     def spy(*args, **kwargs):
@@ -386,13 +385,16 @@ def test_solver_failure_shrinks_and_recovers():
 
 
 def test_warm_start_runs_and_converges(monkeypatch):
-    # quad2 converges in one step, before any warm start; illscaled takes
-    # several. Each later machine run starts at the last step mapped into
+    # quad2 converges in one step, before any warm start. plquad's Hessian
+    # is singular, so the box finish declines its models and the machine
+    # solves each one; from delta0 = 0.25 with a scaling it takes 5
+    # iterations. Each later machine run starts at the last step mapped into
     # solver coordinates and clipped to the box when that point has negative
-    # working-model energy, and at 0 otherwise. An iteration that the
-    # interior finish solves runs no machine, so the spy keeps each run's
+    # working-model energy, and at 0 otherwise. The spy keeps each run's
     # iteration t (its seed less the base seed) and each warm start is
-    # compared with record t - 1.
+    # compared with record t - 1. plquad's minimizers form a line through
+    # theta_star along the Hessian's null space, so the distance is measured
+    # to the nearest of them, theta_final - H^+ grad.
     runs = []
 
     def spy(model, config, s0=None, tol=None):
@@ -400,7 +402,7 @@ def test_warm_start_runs_and_converges(monkeypatch):
         return run_ecim(model, config, s0, tol=tol)
 
     monkeypatch.setattr("itrust.trust_region.run_ecim", spy)
-    for name in ("quad2", "illscaled"):
+    for name, scaling in (("quad2", None), ("plquad", np.array([1.0, 2.0, 0.5]))):
         runs.clear()
         p = get_problem(name)
         config = TrustRegionConfig(
@@ -408,13 +410,16 @@ def test_warm_start_runs_and_converges(monkeypatch):
             iterations=50,
             gtol=1e-7,
             warm_start=True,
-            scaling=p.scaling,
+            scaling=scaling,
+            delta0=0.25,
             **TUNED,
         )
         trace = itrust(p.objective, config, p.start)
         assert trace.converged, name
     assert trace.n_iterations > 1
-    assert np.max(np.abs(trace.theta_final - p.theta_star)) <= 1e-6
+    theta = trace.theta_final
+    H, g = p.objective.hessian(theta), p.objective.gradient(theta)
+    assert np.max(np.abs(np.linalg.pinv(H) @ g)) <= 1e-6
     records = trace.records
     assert all(r.accepted for r in records)
     warm = 0
@@ -422,7 +427,7 @@ def test_warm_start_runs_and_converges(monkeypatch):
         if t == 0:
             assert s0 is None
             continue
-        start = project_box(p.scaling * records[t - 1].step, work.delta)
+        start = project_box(scaling * records[t - 1].step, work.delta)
         if energy(work, start) < 0.0:
             assert np.array_equal(s0, start)
             warm += 1
@@ -433,8 +438,8 @@ def test_warm_start_runs_and_converges(monkeypatch):
 
 @pytest.mark.parametrize("name", ["rosenbrock2", "rosenbrock10"])
 def test_warm_start_never_predicts_an_increase(name):
-    # At the benchmark's thresholds these runs meet warm points with E > 0
-    # (rosenbrock2 at t = 17 and 18, rosenbrock10 at t = 22, 26 and 27).
+    # At the benchmark's thresholds rosenbrock10's machine meets warm points
+    # with E > 0 (t = 4 to 7); the box finish solves every rosenbrock2 model.
     # Started there, the best iterate can predict an increase, a step
     # rejected with rho = nan; such a start falls back to 0.
     p = get_problem(name)
@@ -473,13 +478,23 @@ def test_scaling_speeds_up_ill_conditioned_problem():
     assert np.max(np.abs(trace2.theta_final - p.theta_star)) <= 1e-6
 
 
-def test_grid_solver_backend():
-    p = get_problem("quad2")
+def test_grid_solver_backend(monkeypatch):
+    # plquad's singular Hessian makes the box finish decline its models, so
+    # the grid solves them.
+    calls = []
+
+    def spy(model):
+        calls.append(model)
+        return grid_minimize_box(model)
+
+    monkeypatch.setattr("itrust.trust_region.grid_minimize_box", spy)
+    p = get_problem("plquad")
     config = TrustRegionConfig(
         solver=GridSolver(), iterations=40, gtol=1e-6, **TUNED
     )
     trace = itrust(p.objective, config, p.start)
     assert trace.converged
+    assert calls
 
 
 def test_theta0_shape_validation():
