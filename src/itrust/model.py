@@ -6,6 +6,7 @@ The box-constrained quadratic ``E(s) = 0.5 <s, J s> + <h, s>`` over
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,9 +51,9 @@ class QuadraticModel:
             raise ValueError(
                 f"field shape {h.shape} does not match coupling {J.shape}"
             )
-        if not np.all(np.isfinite(J)) or not np.all(np.isfinite(h)):
+        if not (np.isfinite(J).all() and np.isfinite(h).all()):
             raise ValueError("coupling and field must be finite")
-        if not (self.delta > 0.0 and np.isfinite(self.delta)):
+        if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive, got {self.delta}")
         object.__setattr__(self, "coupling", J)
         object.__setattr__(self, "field", h)
@@ -77,7 +78,8 @@ class Objective:
     """Twice-differentiable objective with analytic or supplied derivatives.
 
     ``hessian(theta)`` must be symmetric to within ``SYMMETRY_TOL`` (scaled);
-    the wrapper symmetrizes the result before returning it.
+    the wrapper symmetrizes the result before returning it, and raises
+    ``FloatingPointError`` when an entry is not finite.
     """
 
     def __init__(
@@ -100,7 +102,11 @@ class Objective:
         return float(self._value(np.asarray(theta, dtype=float)))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        g = np.asarray(self._gradient(np.asarray(theta, dtype=float)), dtype=float)
+        # Contiguous, so that sqrt(g.dot(g)) has np.linalg.norm's bits: on a
+        # strided array BLAS sums the products in another order.
+        g = np.asarray(
+            self._gradient(np.asarray(theta, dtype=float)), dtype=float, order="C"
+        )
         if g.shape != (self.dim,):
             raise ValueError(f"gradient shape {g.shape}, expected ({self.dim},)")
         return g
@@ -111,8 +117,10 @@ class Objective:
             raise ValueError(
                 f"hessian shape {H.shape}, expected ({self.dim}, {self.dim})"
             )
-        scale = max(1.0, float(np.max(np.abs(H))))
-        if np.max(np.abs(H - H.T)) > SYMMETRY_TOL * scale:
+        H_max = float(np.abs(H).max())
+        if not math.isfinite(H_max):
+            raise FloatingPointError("hessian is not finite")
+        if np.abs(H - H.T).max() > SYMMETRY_TOL * max(1.0, H_max):
             raise ValueError("hessian is not symmetric within tolerance")
         return 0.5 * (H + H.T)
 

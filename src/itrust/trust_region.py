@@ -115,6 +115,13 @@ def update_radius(
     return delta
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a contiguous 1-D float array: the same
+    ``sqrt(x.dot(x))`` that ``np.linalg.norm`` computes, without its
+    wrapper."""
+    return math.sqrt(x.dot(x))
+
+
 def _box_minimizer(model: QuadraticModel, tol: float) -> np.ndarray | None:
     """The unique box minimum of a positive definite model, else None.
 
@@ -126,29 +133,41 @@ def _box_minimizer(model: QuadraticModel, tol: float) -> np.ndarray | None:
     the free coordinates that left the box plus the fixed ones whose
     gradient still points out. Settled sets meet the KKT conditions, and the
     gradient-mapping norm of their point is at most the face residual. A
-    residual above ``tol``, or sets that revisit an earlier pair, give None.
+    residual above ``tol``, sets that revisit an earlier pair, or a solve
+    that meets an exactly singular matrix after the Cholesky test passed,
+    give None.
     """
     S, h, delta = model.symmetric_coupling(), model.field, model.delta
     try:
         np.linalg.cholesky(S)
+        u = np.linalg.solve(S, -h)
     except np.linalg.LinAlgError:
         return None
-    u = np.linalg.solve(S, -h)
     up, lo = u > delta, u < -delta
-    if not (up.any() or lo.any()):
-        return u if np.linalg.norm(S @ u + h) <= tol else None
+    fixed = up | lo
+    if not fixed.any():
+        return u if _norm(S @ u + h) <= tol else None
     seen = set()
     while (sets := (up.tobytes(), lo.tobytes())) not in seen:
         seen.add(sets)
-        free = ~(up | lo)
-        u = np.where(up, delta, np.where(lo, -delta, 0.0))
-        rhs = -(h[free] + S[np.ix_(free, ~free)] @ u[~free])
-        u[free] = np.linalg.solve(S[np.ix_(free, free)], rhs)
+        free = ~fixed
+        u = np.zeros(h.shape[0])
+        u[up] = delta
+        u[lo] = -delta
+        # compress keeps the rows C-contiguous, so the product sums in the
+        # order np.ix_'s selection would; a column mask would not.
+        S_F = S[free]
+        rhs = -(h[free] + S_F.compress(fixed, axis=1) @ u[fixed])
+        try:
+            u[free] = np.linalg.solve(S_F.compress(free, axis=1), rhs)
+        except np.linalg.LinAlgError:
+            return None
         g = S @ u + h
-        if np.linalg.norm(g[free]) > tol:
+        if _norm(g[free]) > tol:
             return None
         up = (free & (u > delta)) | (up & (g < 0.0))
         lo = (free & (u < -delta)) | (lo & (g > 0.0))
+        fixed = up | lo
         if (up.tobytes(), lo.tobytes()) == sets:
             return u
     return None
@@ -188,7 +207,8 @@ def solve_subproblem(
     face, one face solve an iteration, until the sets settle at the model's
     unique minimum on the box, which is returned without running the machine
     (or its noise) or the grid. A face solve whose residual misses the
-    forcing tolerance, or sets that cycle, hand the model to the backend.
+    forcing tolerance, sets that cycle, or a solve that meets an exactly
+    singular matrix, hand the model to the backend.
     The exact ball backend keeps its own solve, since its constraint is the
     ball.
     """
@@ -202,7 +222,7 @@ def solve_subproblem(
         work = QuadraticModel(
             model.coupling * np.outer(inv, inv), model.field * inv, model.delta
         )
-    h_norm = float(np.linalg.norm(work.field))
+    h_norm = _norm(work.field)
     tol = min(0.1, h_norm) * h_norm
     if isinstance(solver, EcimConfig):
         u = _box_minimizer(work, tol)
@@ -314,7 +334,9 @@ def itrust(
     Raises
     ------
     RuntimeError
-        When the objective is not finite at the start point.
+        When the objective is not finite at the start point, or when the
+        gradient's norm or an entry of the Hessian is not finite at an
+        accepted point; the message names the iteration.
     """
     theta = np.array(theta0, dtype=float)
     if theta.shape != (objective.dim,):
@@ -337,13 +359,18 @@ def itrust(
     for t in range(config.iterations):
         if grad is None:
             grad = objective.gradient(theta)
-            grad_norm = float(np.linalg.norm(grad))
+            grad_norm = _norm(grad)
+            if not math.isfinite(grad_norm):
+                raise RuntimeError(f"gradient norm is not finite at iteration {t}")
         if config.gtol is not None and grad_norm <= config.gtol:
             converged = True
             break
 
         if model is None:
-            model = build_subproblem(objective, theta, delta, gradient=grad)
+            try:
+                model = build_subproblem(objective, theta, delta, gradient=grad)
+            except FloatingPointError as exc:
+                raise RuntimeError(f"{exc} at iteration {t}") from exc
         else:
             model = replace(model, delta=delta)
         s0 = None
@@ -367,7 +394,7 @@ def itrust(
             # Boundary contact is judged in solver coordinates, where the box
             # actually lives.
             u = step if scaling is None else scaling * step
-            step_inf = float(np.max(np.abs(u)))
+            step_inf = float(np.abs(u).max())
             if mval < 0.0:
                 trial = theta + step
                 f_trial = objective.value(trial)
@@ -402,6 +429,6 @@ def itrust(
     if not converged and config.gtol is not None:
         if grad is None:
             grad = objective.gradient(theta)
-        converged = float(np.linalg.norm(grad)) <= config.gtol
+        converged = _norm(grad) <= config.gtol
 
     return TrustRegionTrace(records=records, theta_final=theta, converged=converged)

@@ -1,7 +1,8 @@
 """Reference definitions the tests compare the package against.
 
 Plain, unoptimized forms of one machine step, its gradient mapping, the
-energy gradient, and central-difference derivatives. Only tests call them.
+energy gradient, the trust region's box finish, and central-difference
+derivatives. Only tests call them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,37 @@ def gradient_mapping(s: np.ndarray, s_next: np.ndarray, beta: float) -> np.ndarr
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     return (np.asarray(s, dtype=float) - np.asarray(s_next, dtype=float)) / beta
+
+
+def box_minimizer(model: QuadraticModel, tol: float) -> np.ndarray | None:
+    """The box finish in its plain form: the unique box minimum of a
+    positive definite model by primal-dual active sets from the Newton
+    point's face, or None when a residual passes ``tol`` or the sets cycle.
+    The trust region's ``_box_minimizer`` must return these bits."""
+    S, h, delta = model.symmetric_coupling(), model.field, model.delta
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+    u = np.linalg.solve(S, -h)
+    up, lo = u > delta, u < -delta
+    if not (up.any() or lo.any()):
+        return u if np.linalg.norm(S @ u + h) <= tol else None
+    seen = set()
+    while (sets := (up.tobytes(), lo.tobytes())) not in seen:
+        seen.add(sets)
+        free = ~(up | lo)
+        u = np.where(up, delta, np.where(lo, -delta, 0.0))
+        rhs = -(h[free] + S[np.ix_(free, ~free)] @ u[~free])
+        u[free] = np.linalg.solve(S[np.ix_(free, free)], rhs)
+        g = S @ u + h
+        if np.linalg.norm(g[free]) > tol:
+            return None
+        up = (free & (u > delta)) | (up & (g < 0.0))
+        lo = (free & (u < -delta)) | (lo & (g > 0.0))
+        if (up.tobytes(), lo.tobytes()) == sets:
+            return u
+    return None
 
 
 def finite_difference_gradient(f, theta, h: float = 1e-5) -> np.ndarray:

@@ -337,14 +337,25 @@ def test_solve_grid_backend_converges_on_plquad(tmp_path, monkeypatch):
     assert calls
 
 
-def test_solve_grid_backend_converges_on_rosenbrock2(tmp_path):
+def test_solve_grid_backend_on_rosenbrock2_never_reaches_the_grid(
+    tmp_path, monkeypatch
+):
     # The grid's 201-point lattice and 400 polish steps stop short of an
     # ill-conditioned model's interior minimizer: taking their point, the
-    # outer loop moves like gradient descent and meets gtol only at
+    # outer loop moved like gradient descent and met gtol only at
     # iteration 100 of 100. The box finish takes the Newton point or the
-    # active-set point and converges in 29.
+    # active-set point of every rosenbrock2 model, so the grid never runs,
+    # and the run converges in 29.
+    calls = []
+
+    def spy(model):
+        calls.append(model)
+        return itrust.oracles.grid_minimize_box(model)
+
+    monkeypatch.setattr("itrust.trust_region.grid_minimize_box", spy)
     argv = ["solve", "--problem", "rosenbrock2", "--solver", "grid"]
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert not calls
     payload = json.loads(
         (tmp_path / "solve-rosenbrock2-grid-seed0.summary.json").read_text()
     )
@@ -568,6 +579,39 @@ def test_compare_oracles_divergent_machine_is_numerical_error(
     rc = main(["compare-oracles", "--count", "2", "--out", str(out)])
     assert rc == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("derivative", ["gradient", "hessian"])
+def test_solve_non_finite_derivative_mid_run_is_numerical_error(
+    derivative, tmp_path, capsys, monkeypatch
+):
+    # f is finite everywhere; the derivative is infinite once theta_0 > 0.5,
+    # which the first step from 0 passes. Before, the model's ValueError
+    # made this a usage error.
+    target = np.array([2.0, 0.0])
+
+    def gradient(t):
+        if derivative == "gradient" and t[0] > 0.5:
+            return np.array([math.inf, 0.0])
+        return 2.0 * (t - target)
+
+    def hessian(t):
+        if derivative == "hessian" and t[0] > 0.5:
+            return np.full((2, 2), math.inf)
+        return 2.0 * np.eye(2)
+
+    objective = itrust.Objective(
+        2, lambda t: float((t - target) @ (t - target)), gradient, hessian
+    )
+    problem = itrust.TestProblem("bowl", objective, "strongly-convex", np.zeros(2))
+    monkeypatch.setattr(itrust.cli, "get_problem", lambda name: problem)
+    out = tmp_path / "reports"
+    argv = ["solve", "--problem", "bowl", "--solver", "exact-ball", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ")
+    assert f"{derivative} " in err and "at iteration 1" in err
     assert not out.exists()
 
 

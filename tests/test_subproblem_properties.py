@@ -27,6 +27,8 @@ from itrust import (
 )
 from itrust.ecim import smoothness
 from itrust.objectives import INSTANCE_KINDS
+from itrust.trust_region import _box_minimizer
+from tests import reference
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -210,6 +212,74 @@ def test_finish_declines_a_face_solve_that_misses_the_tolerance():
     step, _ = solve_subproblem(model, config, seed=3)
     machine = run_ecim(model, replace(config, seed=3), tol=_forcing_tolerance(model))
     assert np.array_equal(step, machine.best_iterate)
+
+
+def test_finish_declines_a_singular_model_whose_cholesky_passes():
+    # A singular model (one eigenvalue exactly 0 before rounding) whose
+    # symmetric coupling rounds to eigenvalues 2.8e-17 and 1.48: Cholesky
+    # succeeds, and the LU solve meets an exact zero pivot. Before, that
+    # solve's LinAlgError escaped the backend; now the machine runs, bit for
+    # bit.
+    model = random_box_quadratic(2, 1735, kind="singular")
+    np.linalg.cholesky(model.symmetric_coupling())
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(model.symmetric_coupling(), -model.field)
+    config = EcimConfig(iterations=200)
+    step, _ = solve_subproblem(model, config, seed=3)
+    machine = run_ecim(model, replace(config, seed=3), tol=_forcing_tolerance(model))
+    assert np.array_equal(step, machine.best_iterate)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(
+    n=st.integers(1, 8),
+    family=st.sampled_from(
+        ("strongly-convex", "tiny", "dense", "psd", "singular", "indefinite")
+    ),
+    seed=st.integers(0, 2**16),
+    reach=st.floats(0.5, 30.0),
+)
+@hypothesis.example(n=3, family="dense", seed=391, reach=1.0)
+@hypothesis.example(n=3, family="tiny", seed=0, reach=2.0)
+@hypothesis.example(n=6, family="dense", seed=46, reach=1.0)
+def test_box_finish_returns_the_reference_bits(n, family, seed, reach):
+    # The finish makes fewer numpy calls than its plain form in
+    # tests/reference.py, with the same floating-point operations: it
+    # returns the same bits, or None where the reference does. A strongly
+    # convex model's field is scaled so that its Newton point lies reach
+    # times the box half-width out (inside for reach < 1); a tiny model is
+    # one of those with field and box times 1e-20, where the forcing
+    # tolerance ||h||^2 falls below a solve's roundoff, so both decline it.
+    # A dense model is A A^T + 0.01 I with a normal field times reach, whose
+    # active sets can take several faces or cycle (seed 391 at reach 1 is the
+    # cycling model above; at n = 6, seed 46's S_FB u_B differs in its last
+    # bit when S_FB is selected in column-major order, as S[free][:, fixed]
+    # is). The Cholesky test declines most psd, singular and indefinite
+    # models; where the reference's solve meets an exactly singular matrix
+    # after that test passed, the finish declines too.
+    if family == "dense":
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n))
+        field = rng.normal(size=n) * reach
+        model = QuadraticModel(A @ A.T + 0.01 * np.eye(n), field, 1.0)
+    elif family in ("strongly-convex", "tiny"):
+        model = random_box_quadratic(n, seed, kind="strongly-convex")
+        newton = np.linalg.solve(model.symmetric_coupling(), -model.field)
+        field = model.field * (reach * model.delta / np.max(np.abs(newton)))
+        size = 1e-20 if family == "tiny" else 1.0
+        model = QuadraticModel(model.coupling, field * size, model.delta * size)
+    else:
+        model = random_box_quadratic(n, seed, kind=family)
+    tol = _forcing_tolerance(model)
+    try:
+        want = reference.box_minimizer(model, tol)
+    except np.linalg.LinAlgError:
+        want = None
+    got = _box_minimizer(model, tol)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.tobytes() == want.tobytes()
 
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)

@@ -436,21 +436,33 @@ def test_warm_start_runs_and_converges(monkeypatch):
     assert warm > 0
 
 
-@pytest.mark.parametrize("name", ["rosenbrock2", "rosenbrock10"])
-def test_warm_start_never_predicts_an_increase(name):
+@pytest.mark.parametrize(
+    "name, delta0", [("plquad", 0.25), ("rosenbrock10", 1.0)], ids=["plquad", "rosenbrock10"]
+)
+def test_warm_start_never_predicts_an_increase(name, delta0, monkeypatch):
     # At the benchmark's thresholds rosenbrock10's machine meets warm points
-    # with E > 0 (t = 4 to 7); the box finish solves every rosenbrock2 model.
-    # Started there, the best iterate can predict an increase, a step
-    # rejected with rho = nan; such a start falls back to 0.
+    # with E > 0 (t = 4 to 7), and plquad's singular models, from radius
+    # 0.25, take two warm starts. Started at a point with E > 0, the best
+    # iterate can predict an increase, a step rejected with rho = nan; such
+    # a start falls back to 0. The spy counts the runs that start warm.
+    warm = []
+
+    def spy(model, config, s0=None, tol=None):
+        warm.append(s0 is not None)
+        return run_ecim(model, config, s0, tol=tol)
+
+    monkeypatch.setattr("itrust.trust_region.run_ecim", spy)
     p = get_problem(name)
     config = TrustRegionConfig(
         solver=EcimConfig(iterations=3000, sigma2=0.0, seed=11),
         scaling=p.scaling,
         warm_start=True,
+        delta0=delta0,
         **SUITE,
     )
     trace = itrust(p.objective, config, p.start)
     assert trace.converged
+    assert any(warm)
     assert not [r.t for r in trace.records if r.model_value > 0.0]
 
 
@@ -514,6 +526,40 @@ def test_non_finite_objective_raises():
     )
     with pytest.raises(RuntimeError, match="not finite"):
         itrust(obj, TrustRegionConfig(), np.zeros(1))
+
+
+def _bowl_with(gradient=None, hessian=None) -> Objective:
+    # f = ||theta - (2, 0)||^2, finite everywhere; from 0 the first step
+    # moves theta_0 to 1, past 0.5, where a supplied derivative breaks.
+    target = np.array([2.0, 0.0])
+    return Objective(
+        dim=2,
+        value=lambda t: float((t - target) @ (t - target)),
+        gradient=gradient or (lambda t: 2.0 * (t - target)),
+        hessian=hessian or (lambda t: 2.0 * np.eye(2)),
+    )
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_gradient_mid_run_raises_runtime_error(bad):
+    # Before, the infinite gradient reached QuadraticModel, whose ValueError
+    # the CLI reports as a usage error.
+    def gradient(t):
+        return 2.0 * (t - np.array([2.0, 0.0])) if t[0] <= 0.5 else np.array([bad, 0.0])
+
+    config = TrustRegionConfig(solver=ExactBallSolver())
+    with pytest.raises(RuntimeError, match="gradient norm is not finite at iteration 1"):
+        itrust(_bowl_with(gradient=gradient), config, np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_hessian_mid_run_raises_runtime_error(bad):
+    def hessian(t):
+        return 2.0 * np.eye(2) if t[0] <= 0.5 else np.array([[2.0, bad], [bad, 2.0]])
+
+    config = TrustRegionConfig(solver=ExactBallSolver())
+    with pytest.raises(RuntimeError, match="hessian is not finite at iteration 1"):
+        itrust(_bowl_with(hessian=hessian), config, np.zeros(2))
 
 
 def test_non_finite_trial_point_rejects_and_shrinks():
