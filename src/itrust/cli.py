@@ -111,13 +111,14 @@ def fit_linear_decay(iterations, gaps) -> RateFit:
 
 
 def _parse_ints(spec: str) -> list[int]:
-    """Comma-separated distinct integers and inclusive ranges, e.g. ``0-3,7``."""
+    """Comma-separated distinct non-negative integers and inclusive ranges,
+    e.g. ``0-3,7``: every ``-`` marks a range."""
     values: list[int] = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
-        is_range = "-" in part[1:]
+        is_range = "-" in part
         try:
             lo, hi = map(int, part.split("-", 1)) if is_range else (int(part),) * 2
         except ValueError:
@@ -131,6 +132,12 @@ def _parse_ints(spec: str) -> list[int]:
     if len(set(values)) < len(values):
         raise argparse.ArgumentTypeError(f"repeated integers in {spec!r}")
     return values
+
+
+def _parse_seed(spec: str) -> int:
+    if not spec.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {spec!r}")
+    return int(spec)
 
 
 def _parse_beta0(spec: str):
@@ -224,7 +231,6 @@ def cmd_solve(options: dict) -> int:
         solver=_solver_spec(options),
         gtol=options["gtol"],
         scaling=problem.scaling if options["use_scaling"] else None,
-        warm_start=options["warm_start"],
     )
     trace = itrust(problem.objective, config, problem.start)
 
@@ -587,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the trust-region loop on a problem")
     p.add_argument("--problem", required=True, help="problem name")
     p.add_argument("--solver", choices=("ecim", "exact-ball", "grid"), default="ecim")
-    p.add_argument("--seed", type=int, default=EcimConfig.seed)
+    p.add_argument("--seed", type=_parse_seed, default=EcimConfig.seed)
     p.add_argument(
         "--T", type=int, default=TrustRegionConfig.iterations, help="outer iterations"
     )
@@ -602,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=TrustRegionConfig.eta)
     p.add_argument("--gtol", type=float, default=TrustRegionConfig.gtol)
     p.add_argument("--use-scaling", action="store_true")
-    p.add_argument("--warm-start", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -626,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare-oracles", help="machine vs reference solvers")
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--dims", type=_parse_ints, default=[2, 3])
     p.add_argument("--K", type=int, default=20000)
     _add_common(p)

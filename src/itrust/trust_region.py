@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .ecim import DivergenceError, EcimConfig, project_box, run_ecim
+from .ecim import DivergenceError, EcimConfig, run_ecim
 from .model import Objective, QuadraticModel, build_subproblem, energy
 from .oracles import NumericalError, exact_ball_minimize, grid_minimize_box
 from .writers import write_csv
@@ -65,8 +65,6 @@ class TrustRegionConfig:
     elliptical scaling D: every subproblem is solved in ``u = D s``
     coordinates, where the box ``|u_i| <= delta`` bounds ``||D s||_inf``. Its
     entries must be positive and finite, and its shape that of ``theta0``.
-    The machine starts from 0, or with ``warm_start`` from the previous
-    step when that point, clipped to the box, has negative model energy.
     """
 
     delta0: float = 1.0
@@ -77,7 +75,6 @@ class TrustRegionConfig:
     solver: SubproblemSolver = field(default_factory=EcimConfig)
     gtol: float | None = 1e-8
     scaling: np.ndarray | None = None
-    warm_start: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.delta0 <= self.delta_max:
@@ -177,7 +174,6 @@ def solve_subproblem(
     model: QuadraticModel,
     solver: SubproblemSolver,
     seed: int = 0,
-    s0: np.ndarray | None = None,
     scaling: np.ndarray | None = None,
 ):
     """Minimize one subproblem with the selected backend.
@@ -185,19 +181,16 @@ def solve_subproblem(
     With a ``scaling`` D of shape (n,) and positive entries, the backend
     solves the model in ``u = D s`` coordinates, ``D^-1 J D^-1`` and
     ``D^-1 h`` on the same box, and the step is mapped back to
-    ``s = D^-1 u``; ``s0`` is given in u coordinates, and a scaling of
-    another shape raises ``ValueError``. Returns ``(step, value)`` with the
-    value measured by the unscaled model.
+    ``s = D^-1 u``; a scaling of another shape raises ``ValueError``.
+    Returns ``(step, value)`` with the value measured by the unscaled model.
 
     The machine backend is an inexact solver: ``run_ecim`` with a ``tol``,
-    the machine's step with momentum, started at ``s0`` clipped to the box
-    when its working-model energy is below E(0) = 0, else at 0, stopped at
-    the first step whose gradient-mapping norm is at most ``min(0.1, ||h||)
-    ||h||`` (a forcing term, Dembo, Eisenstat & Steihaug 1982), h the
-    working model's field. From 0 its first step is the projected 1/L step,
-    a Cauchy-like point, and the best iterate it returns is never worse than
-    that step; from either start it is never worse than 0. Started at 0
-    without noise, a zero field stops it there after one step.
+    the machine's step with momentum, started at 0 and stopped at the first
+    step whose gradient-mapping norm is at most ``min(0.1, ||h||) ||h||`` (a
+    forcing term, Dembo, Eisenstat & Steihaug 1982), h the working model's
+    field. Its first step is the projected 1/L step, a Cauchy-like point,
+    so the best iterate it returns is never worse than that step, and never
+    worse than 0. Without noise, a zero field stops it at 0 after one step.
 
     The machine and grid backends first try the box finish: when the
     working model's symmetric coupling S is positive definite (its Cholesky
@@ -227,11 +220,7 @@ def solve_subproblem(
     if isinstance(solver, EcimConfig):
         u = _box_minimizer(work, tol)
         if u is None:
-            if s0 is not None:
-                s0 = project_box(s0, work.delta)
-                if not energy(work, s0) < 0.0:
-                    s0 = None
-            u = run_ecim(work, replace(solver, seed=seed), s0, tol=tol).best_iterate
+            u = run_ecim(work, replace(solver, seed=seed), tol=tol).best_iterate
     elif isinstance(solver, ExactBallSolver):
         u = exact_ball_minimize(work).s_star
     elif isinstance(solver, GridSolver):
@@ -329,7 +318,7 @@ def itrust(
     gradient and the Hessian are evaluated once per accepted point: a
     rejected iteration reuses them. A machine backend is reseeded per
     iteration (base seed plus t) so runs are reproducible; without noise it
-    starts from 0 and draws nothing, so the seed does not matter.
+    draws nothing, so the seed does not matter.
 
     Raises
     ------
@@ -350,7 +339,6 @@ def itrust(
     scaling = config.scaling
     records: list[TrustRegionRecord] = []
     converged = False
-    previous_step: np.ndarray | None = None
     # The gradient and the model at theta, kept until a step is accepted: a
     # rejected iteration only changes the radius.
     grad: np.ndarray | None = None
@@ -373,9 +361,6 @@ def itrust(
                 raise RuntimeError(f"{exc} at iteration {t}") from exc
         else:
             model = replace(model, delta=delta)
-        s0 = None
-        if config.warm_start and previous_step is not None:
-            s0 = previous_step if scaling is None else scaling * previous_step
 
         # rho is the realized over the predicted reduction, both less a
         # roundoff floor. A failed solve, or a model that predicts no
@@ -386,7 +371,7 @@ def itrust(
         rho = math.nan
         try:
             step, mval = solve_subproblem(
-                model, config.solver, seed=base_seed + t, s0=s0, scaling=scaling
+                model, config.solver, seed=base_seed + t, scaling=scaling
             )
         except (DivergenceError, NumericalError):
             step, mval, step_inf = None, math.nan, math.nan
@@ -423,7 +408,6 @@ def itrust(
         if accepted:
             theta = trial
             f_cur = f_trial
-            previous_step = step
             grad = model = None
 
     if not converged and config.gtol is not None:

@@ -272,9 +272,11 @@ def test_jobs_option_is_gone(tmp_path):
     # Nor do verify-bounds and rate-fit take a step, a noise level or a
     # schedule: each runs the ones its checks are stated for. list-problems
     # writes no report, so it takes no report options. No command reads an
-    # option file: every option is a flag.
+    # option file: every option is a flag. solve has no warm start: the
+    # trust region's machine always starts at 0.
     for argv in (
         ["solve", "--problem", "quad2", "--config", "x"],
+        ["solve", "--problem", "quad2", "--warm-start"],
         ["verify-bounds", "--config", "x"],
         ["rate-fit", "--config", "x"],
         ["compare-oracles", "--config", "x"],
@@ -314,6 +316,29 @@ def test_resolution_option_is_gone(tmp_path):
     with pytest.raises(SystemExit) as info:
         main([*argv, "--out", str(out)])
     assert info.value.code == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify-bounds", "--seeds=-1"], "--seeds"),
+        (["verify-bounds", "--seeds", "0,-1"], "--seeds"),
+        (["compare-oracles", "--seed", "-1"], "--seed"),
+        (["solve", "--problem", "quad2", "--seed", "-1", "--sigma2", "0.01"], "--seed"),
+        (["solve", "--problem", "quad2", "--seed", "-1"], "--seed"),
+    ],
+    ids=["seeds", "seeds-list", "compare-oracles", "solve-noisy", "solve-noise-free"],
+)
+def test_negative_seed_is_usage_error_naming_it(tmp_path, capsys, argv, option):
+    # A noise-free solve draws nothing from its seed, so only the parser can
+    # reject it; the message names the option and the value.
+    out = tmp_path / "reports"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(out)])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err and "'-1'" in err, err
     assert not out.exists()
 
 

@@ -42,24 +42,20 @@ st = hypothesis.strategies
     schedule=st.sampled_from(("fixed", "decreasing")),
     seed=st.integers(0, 2**16),
     scaled=st.booleans(),
-    warm=st.booleans(),
 )
+@hypothesis.example(n=3, K=1, kind="indefinite", schedule="fixed", seed=108, scaled=True)
 def test_machine_step_is_no_worse_than_the_first_projected_step(
-    n, K, kind, schedule, seed, scaled, warm
+    n, K, kind, schedule, seed, scaled
 ):
     # From s0 = 0 the first step is clip(-beta_0 h) in solver coordinates,
     # beta_0 = 1/L on both schedules; the returned value, measured by the
     # unscaled model, may differ from the machine's own energies by roundoff.
-    # A drawn warm start, partly outside the box, is taken (clipped) only
-    # when its working energy is negative; otherwise the solve is the one
-    # from 0, bit for bit.
+    # The pinned case fails a machine that starts at the box corner +delta.
     model = random_box_quadratic(n, seed, kind=kind)
-    rng = np.random.default_rng(seed)
-    d = rng.uniform(0.5, 4.0, n) if scaled else np.ones(n)
-    s0 = rng.uniform(-2.0, 2.0, n) * model.delta if warm else None
+    d = np.random.default_rng(seed).uniform(0.5, 4.0, n) if scaled else np.ones(n)
     config = EcimConfig(schedule=schedule, iterations=K)
     scaling = d if scaled else None
-    step, value = solve_subproblem(model, config, seed=seed, s0=s0, scaling=scaling)
+    step, value = solve_subproblem(model, config, seed=seed, scaling=scaling)
     work = QuadraticModel(
         model.coupling * np.outer(1.0 / d, 1.0 / d), model.field / d, model.delta
     )
@@ -68,13 +64,7 @@ def test_machine_step_is_no_worse_than_the_first_projected_step(
     roundoff = 1e-12 * max(1.0, abs(first))
     assert np.max(np.abs(d * step)) <= model.delta
     assert value <= roundoff
-    start = math.inf if s0 is None else energy(work, project_box(s0, model.delta))
-    if start < 0.0:
-        assert value <= start + 1e-12 * max(1.0, abs(start))
-    else:
-        assert value <= first + roundoff
-        cold, _ = solve_subproblem(model, config, seed=seed, scaling=scaling)
-        assert np.array_equal(step, cold)
+    assert value <= first + roundoff
 
 
 def _forcing_tolerance(model: QuadraticModel) -> float:

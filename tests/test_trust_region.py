@@ -384,71 +384,52 @@ def test_solver_failure_shrinks_and_recovers():
     assert trace.records[first_ok].delta < 1e7
 
 
-def test_warm_start_runs_and_converges(monkeypatch):
-    # quad2 converges in one step, before any warm start. plquad's Hessian
-    # is singular, so the box finish declines its models and the machine
-    # solves each one; from delta0 = 0.25 with a scaling it takes 5
-    # iterations. Each later machine run starts at the last step mapped into
-    # solver coordinates and clipped to the box when that point has negative
-    # working-model energy, and at 0 otherwise. The spy keeps each run's
-    # iteration t (its seed less the base seed) and each warm start is
-    # compared with record t - 1. plquad's minimizers form a line through
-    # theta_star along the Hessian's null space, so the distance is measured
-    # to the nearest of them, theta_final - H^+ grad.
-    runs = []
+def test_machine_runs_start_at_zero_and_converge(monkeypatch):
+    # plquad's Hessian is singular, so the box finish declines its models and
+    # the machine solves each one; from delta0 = 0.25 with a scaling it takes
+    # 5 iterations. The spy checks that every machine run starts at 0.
+    # plquad's minimizers form a line through theta_star along the Hessian's
+    # null space, so the distance is measured to the nearest of them,
+    # theta_final - H^+ grad.
+    starts = []
 
     def spy(model, config, s0=None, tol=None):
-        runs.append((config.seed - 5, model, s0))
+        starts.append(s0)
         return run_ecim(model, config, s0, tol=tol)
 
     monkeypatch.setattr("itrust.trust_region.run_ecim", spy)
-    for name, scaling in (("quad2", None), ("plquad", np.array([1.0, 2.0, 0.5]))):
-        runs.clear()
-        p = get_problem(name)
-        config = TrustRegionConfig(
-            solver=EcimConfig(iterations=800, sigma2=0.0, seed=5),
-            iterations=50,
-            gtol=1e-7,
-            warm_start=True,
-            scaling=scaling,
-            delta0=0.25,
-            **TUNED,
-        )
-        trace = itrust(p.objective, config, p.start)
-        assert trace.converged, name
+    p = get_problem("plquad")
+    config = TrustRegionConfig(
+        solver=EcimConfig(iterations=800, sigma2=0.0, seed=5),
+        iterations=50,
+        gtol=1e-7,
+        scaling=np.array([1.0, 2.0, 0.5]),
+        delta0=0.25,
+        **TUNED,
+    )
+    trace = itrust(p.objective, config, p.start)
+    assert trace.converged
     assert trace.n_iterations > 1
     theta = trace.theta_final
     H, g = p.objective.hessian(theta), p.objective.gradient(theta)
     assert np.max(np.abs(np.linalg.pinv(H) @ g)) <= 1e-6
-    records = trace.records
-    assert all(r.accepted for r in records)
-    warm = 0
-    for t, work, s0 in runs:
-        if t == 0:
-            assert s0 is None
-            continue
-        start = project_box(scaling * records[t - 1].step, work.delta)
-        if energy(work, start) < 0.0:
-            assert np.array_equal(s0, start)
-            warm += 1
-        else:
-            assert s0 is None
-    assert warm > 0
+    assert all(r.accepted for r in trace.records)
+    assert len(starts) == trace.n_iterations
+    assert all(s0 is None for s0 in starts)
 
 
 @pytest.mark.parametrize(
     "name, delta0", [("plquad", 0.25), ("rosenbrock10", 1.0)], ids=["plquad", "rosenbrock10"]
 )
-def test_warm_start_never_predicts_an_increase(name, delta0, monkeypatch):
-    # At the benchmark's thresholds rosenbrock10's machine meets warm points
-    # with E > 0 (t = 4 to 7), and plquad's singular models, from radius
-    # 0.25, take two warm starts. Started at a point with E > 0, the best
-    # iterate can predict an increase, a step rejected with rho = nan; such
-    # a start falls back to 0. The spy counts the runs that start warm.
-    warm = []
+def test_machine_never_predicts_an_increase(name, delta0, monkeypatch):
+    # At the benchmark's thresholds the machine solves rosenbrock10's early
+    # models and every plquad model from radius 0.25. Started at 0, its best
+    # iterate is never above E(0) = 0, so no step is rejected for predicting
+    # an increase.
+    runs = []
 
     def spy(model, config, s0=None, tol=None):
-        warm.append(s0 is not None)
+        runs.append(s0)
         return run_ecim(model, config, s0, tol=tol)
 
     monkeypatch.setattr("itrust.trust_region.run_ecim", spy)
@@ -456,13 +437,12 @@ def test_warm_start_never_predicts_an_increase(name, delta0, monkeypatch):
     config = TrustRegionConfig(
         solver=EcimConfig(iterations=3000, sigma2=0.0, seed=11),
         scaling=p.scaling,
-        warm_start=True,
         delta0=delta0,
         **SUITE,
     )
     trace = itrust(p.objective, config, p.start)
     assert trace.converged
-    assert any(warm)
+    assert runs
     assert not [r.t for r in trace.records if r.model_value > 0.0]
 
 
