@@ -15,6 +15,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -41,7 +42,6 @@ from .trust_region import (
     TrustRegionConfig,
     itrust,
 )
-from .writers import write_csv, write_json
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -158,17 +158,34 @@ def _config_hash(options: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _cell(value):
+    """A CSV cell: floats as ``repr(float(v))``, which round-trips exactly and
+    reads the same for Python floats and NumPy float64 scalars (whose repr
+    under NumPy 2 is ``np.float64(...)``); booleans as 0/1. Ints, strings and
+    None pass through to the csv module."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return value
+
+
 def _write_report(
-    options: dict, stem: str, write_rows, summary: dict, rows_suffix: str = ".csv"
+    options: dict, stem: str, header, rows, summary: dict, rows_suffix: str = ".csv"
 ) -> tuple[str, str]:
     """Write a command's report and return the paths of its two files:
-    ``<stem><rows_suffix>``, written by ``write_rows(path)``, and
-    ``<stem>.summary.json``, the summary plus the experiment options
-    (``config``), their ``config_hash`` and a ``timestamp``."""
+    ``<stem><rows_suffix>``, the header and one CSV line per row of values,
+    and ``<stem>.summary.json``, the summary plus the experiment options
+    (``config``), their ``config_hash`` and a ``timestamp``, with sorted keys
+    and a trailing newline; values JSON cannot encode are written as their
+    ``str``. This is the package's only writer of files."""
     out_dir = options["out"]
     os.makedirs(out_dir, exist_ok=True)
     rows_path = os.path.join(out_dir, stem + rows_suffix)
-    write_rows(rows_path)
+    with open(rows_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
     summary_path = os.path.join(out_dir, f"{stem}.summary.json")
     payload = {
         **summary,
@@ -176,7 +193,9 @@ def _write_report(
         "config_hash": _config_hash(options),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    write_json(summary_path, payload)
+    with open(summary_path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, default=str)
+        fh.write("\n")
     return rows_path, summary_path
 
 
@@ -193,7 +212,8 @@ def _write_campaign(options: dict, stem: str, rows: list[dict], summary: dict):
     paths = _write_report(
         options,
         stem,
-        lambda path: write_csv(path, list(rows[0]), (row.values() for row in rows)),
+        list(rows[0]),
+        (row.values() for row in rows),
         {"rows": len(rows), "failed": n_failed, **summary},
     )
     return paths, n_failed
@@ -217,6 +237,37 @@ def _solver_spec(options: dict):
 
 # ---------------------------------------------------------------------------
 # solve
+
+# The columns of solve's trace, one row per outer iteration.
+TRACE_COLUMNS = (
+    "t",
+    "delta",
+    "rho",
+    "f",
+    "grad_norm",
+    "model_value",
+    "step_inf_norm",
+    "accepted",
+    "solver_failed",
+)
+
+
+def _trace_rows(trace) -> list[list]:
+    """A ``TrustRegionTrace``'s records as rows of ``TRACE_COLUMNS``."""
+    return [
+        [
+            r.t,
+            float(r.delta),
+            r.rho,
+            r.f_value,
+            r.grad_norm,
+            r.model_value,
+            r.step_inf_norm,
+            r.accepted,
+            r.solver_failed,
+        ]
+        for r in trace.records
+    ]
 
 
 def cmd_solve(options: dict) -> int:
@@ -251,7 +302,12 @@ def cmd_solve(options: dict) -> int:
 
     stem = f"solve-{problem.name}-{options['solver']}-seed{options['seed']}"
     trace_path, summary_path = _write_report(
-        options, stem, trace.to_csv, summary, rows_suffix=".trace.csv"
+        options,
+        stem,
+        TRACE_COLUMNS,
+        _trace_rows(trace),
+        summary,
+        rows_suffix=".trace.csv",
     )
 
     print(
@@ -508,7 +564,11 @@ def _compare_cell(options: dict, index: int) -> dict:
     dims = options["dims"]
     kinds = ("strongly-convex", "psd", "singular")
     n = dims[index % len(dims)]
-    kind = kinds[index % len(kinds)]
+    # Cycling both lists in lockstep pairs each dimension with one kind when
+    # len(dims) is a multiple of 3, so the kind then shifts by one per pass
+    # through dims; other lengths already meet every pair.
+    shift = index // len(dims) if len(dims) % len(kinds) == 0 else 0
+    kind = kinds[(index + shift) % len(kinds)]
     seed = options["seed"] + index
 
     model = random_box_quadratic(n, seed, kind=kind)

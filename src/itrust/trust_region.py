@@ -21,7 +21,6 @@ import numpy as np
 from .ecim import DivergenceError, EcimConfig, run_ecim
 from .model import Objective, QuadraticModel, build_subproblem, energy
 from .oracles import NumericalError, exact_ball_minimize, grid_minimize_box
-from .writers import write_csv
 
 # The ratio test subtracts this many ulps of max(1, |f|) from both reductions,
 # so that a predicted decrease lost in roundoff reads as a ratio near 1, not
@@ -267,38 +266,6 @@ class TrustRegionTrace:
     def n_iterations(self) -> int:
         return len(self.records)
 
-    def to_csv(self, path) -> None:
-        """One row per outer iteration: t, delta, rho, f, grad_norm,
-        model_value, step_inf_norm, accepted, solver_failed."""
-        write_csv(
-            path,
-            [
-                "t",
-                "delta",
-                "rho",
-                "f",
-                "grad_norm",
-                "model_value",
-                "step_inf_norm",
-                "accepted",
-                "solver_failed",
-            ],
-            (
-                [
-                    r.t,
-                    float(r.delta),
-                    r.rho,
-                    r.f_value,
-                    r.grad_norm,
-                    r.model_value,
-                    r.step_inf_norm,
-                    r.accepted,
-                    r.solver_failed,
-                ]
-                for r in self.records
-            ),
-        )
-
 
 def itrust(
     objective: Objective, config: TrustRegionConfig, theta0: np.ndarray
@@ -330,13 +297,15 @@ def itrust(
     theta = np.array(theta0, dtype=float)
     if theta.shape != (objective.dim,):
         raise ValueError(f"theta0 shape {theta.shape}, expected ({objective.dim},)")
+    scaling = config.scaling
+    if scaling is not None and scaling.shape != theta.shape:
+        raise ValueError(f"scaling shape {scaling.shape}, expected {theta.shape}")
     delta = config.delta0
     f_cur = objective.value(theta)
     if not math.isfinite(f_cur):
         raise RuntimeError(f"objective is not finite at the start point: {f_cur!r}")
 
     base_seed = config.solver.seed if isinstance(config.solver, EcimConfig) else 0
-    scaling = config.scaling
     records: list[TrustRegionRecord] = []
     converged = False
     # The gradient and the model at theta, kept until a step is accepted: a

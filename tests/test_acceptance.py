@@ -27,7 +27,14 @@ from itrust import (
     random_box_quadratic,
     run_ecim,
 )
-from itrust.cli import _compare_cell, _rate_campaign, _verify_cell
+from itrust.cli import (
+    TRACE_COLUMNS,
+    _compare_cell,
+    _rate_campaign,
+    _trace_rows,
+    _verify_cell,
+    _write_report,
+)
 from tests.reference import ecim_step, energy_gradient, gradient_mapping
 
 # Outer-loop thresholds used by the full-suite runs. Every rejection shrinks
@@ -275,10 +282,12 @@ def test_criterion_10_trace_determinism(tmp_path):
         eta=RUN_ETA,
     )
     outer = []
-    for name in ("a.csv", "b.csv"):
-        path = tmp_path / name
-        itrust(problem.objective, config, problem.start).to_csv(path)
-        outer.append(path.read_bytes())
+    for name in ("a", "b"):
+        rows = _trace_rows(itrust(problem.objective, config, problem.start))
+        options = {"out": str(tmp_path / name)}
+        path, _ = _write_report(options, "trace", TRACE_COLUMNS, rows, {})
+        with open(path, "rb") as fh:
+            outer.append(fh.read())
 
     model = random_box_quadratic(3, seed=5, kind="psd")
     inner = []

@@ -24,12 +24,12 @@ from itrust.cli import (
     InsufficientDataError,
     _config_hash,
     _parse_ints,
+    _write_report,
     build_parser,
     fit_linear_decay,
     main,
 )
 from itrust.trust_region import SHRINK_FACTOR
-from itrust.writers import write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,17 @@ def test_solve_writes_trace_and_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "quad2" in out and "converged" in out
     assert f"trace: {trace}" in out and f"summary: {summary}" in out
+
+
+def test_solve_met_at_start_writes_header_only_trace(tmp_path):
+    argv = ["solve", "--problem", "quad2", "--gtol", "1e9", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    trace = tmp_path / "solve-quad2-ecim-seed0.trace.csv"
+    assert trace.read_bytes() == (
+        b"t,delta,rho,f,grad_norm,model_value,step_inf_norm,accepted,solver_failed\r\n"
+    )
+    payload = json.loads((tmp_path / "solve-quad2-ecim-seed0.summary.json").read_text())
+    assert payload["iterations"] == 0 and payload["converged"] is True
 
 
 def test_solve_trace_is_byte_deterministic(tmp_path):
@@ -419,10 +430,23 @@ def test_out_of_range_option_is_usage_error(tmp_path, capsys):
 
 
 def test_csv_writer_cell_formats(tmp_path):
-    path = tmp_path / "row.csv"
+    # Floats as repr, NumPy scalars included, booleans as 0/1; the summary
+    # JSON has sorted keys, str() for what JSON cannot encode, and ends in a
+    # newline.
     row = [3, True, np.float64(0.1), np.nan, "x", None]
-    write_csv(path, ["a", "b", "c", "d", "e", "f"], [row])
-    assert path.read_bytes() == b"a,b,c,d,e,f\r\n3,1,0.1,nan,x,\r\n"
+    rows_path, summary_path = _write_report(
+        {"out": str(tmp_path)},
+        "row",
+        ["a", "b", "c", "d", "e", "f"],
+        [row],
+        {"z": 1, "path": Path("p")},
+    )
+    assert Path(rows_path).read_bytes() == b"a,b,c,d,e,f\r\n3,1,0.1,nan,x,\r\n"
+    text = Path(summary_path).read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    payload = json.loads(text)
+    assert list(payload) == sorted(payload)
+    assert payload["path"] == "p" and payload["z"] == 1
 
 
 def test_missing_subcommand_exits_with_usage():
@@ -574,6 +598,17 @@ def test_compare_oracles_small_run(tmp_path, capsys):
     rows = report.read_text().strip().splitlines()
     assert len(rows) == 5  # header + 4 instances
     assert "0 failed" in capsys.readouterr().out
+
+
+def test_compare_oracles_pairs_every_dimension_with_every_kind(tmp_path):
+    # Three dimensions cycled in lockstep with the three kinds would pair
+    # each dimension with one kind only.
+    argv = ["compare-oracles", "--dims", "1-3", "--count", "9", "--K", "2000"]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    rows = read_rows(tmp_path / "compare-oracles.csv")
+    kinds = ("strongly-convex", "psd", "singular")
+    expected = {f"{kind}-n{n}" for kind in kinds for n in (1, 2, 3)}
+    assert sorted(r["instance"] for r in rows) == sorted(expected)
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -7,7 +7,9 @@ module-level import in ``src/itrust`` (``__init__.py``, which re-exports, and
 module-level function, class and assigned name must be read somewhere in the
 package or be exported through ``itrust.__all__``, and every parameter or
 dataclass field with a default must be passed by some call in the package or
-the benchmark. A default that no such call overrides is a constant.
+the benchmark. A default that no such call overrides is a constant. Only
+``cli.py`` writes files: no other module imports ``csv`` or ``json`` or calls
+``open``.
 """
 
 from __future__ import annotations
@@ -180,3 +182,33 @@ def find_unpassed_defaults(src: Path, *callers: Path) -> list[str]:
 def test_every_default_is_passed_by_some_caller():
     unpassed = find_unpassed_defaults(SRC, BENCH)
     assert not unpassed, f"defaults no call in src/itrust or bench/ passes: {unpassed}"
+
+
+def _file_io(tree: ast.Module) -> list[str]:
+    """Every import of ``csv`` or ``json`` and every call of ``open``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        found += [
+            f"import {m} (line {node.lineno})"
+            for m in modules
+            if m.split(".")[0] in ("csv", "json")
+        ]
+        if isinstance(node, ast.Call) and "open" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            found.append(f"open() (line {node.lineno})")
+    return found
+
+
+def test_only_the_cli_writes_files():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "cli.py":
+            found = _file_io(ast.parse(path.read_text(), str(path)))
+            assert not found, f"{path.name}: file I/O outside cli.py: {found}"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from itrust import (
     step_sizes,
     update_radius,
 )
+from itrust.cli import TRACE_COLUMNS, _trace_rows, _write_report
 from tests.reference import ecim_step, machine_energy
 
 # Small acceptance threshold: every useful step is taken.
@@ -497,6 +499,29 @@ def test_theta0_shape_validation():
         itrust(p.objective, TrustRegionConfig(scaling=np.ones(1)), p.start)
 
 
+@pytest.mark.parametrize("gtol", [1e9, 1e-8])
+def test_scaling_shape_is_checked_before_any_evaluation(gtol):
+    # A wrong shape fails before f, g or H is evaluated, also when gtol is
+    # met at the start and no subproblem is ever solved.
+    p = get_problem("quad2")
+    calls = []
+
+    def counted(name, fn):
+        return lambda t: calls.append(name) or fn(t)
+
+    obj = p.objective
+    objective = Objective(
+        obj.dim,
+        counted("f", obj.value),
+        counted("g", obj.gradient),
+        counted("H", obj.hessian),
+    )
+    config = TrustRegionConfig(gtol=gtol, scaling=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"scaling shape \(3,\), expected \(2,\)"):
+        itrust(objective, config, p.start)
+    assert calls == []
+
+
 def test_non_finite_objective_raises():
     obj = Objective(
         dim=1,
@@ -594,10 +619,12 @@ def test_trace_serialization(tmp_path):
         iterations=15,
         gtol=None,
     )
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    itrust(p.objective, config, p.start).to_csv(p1)
-    itrust(p.objective, config, p.start).to_csv(p2)
+    paths = []
+    for name in ("a", "b"):
+        rows = _trace_rows(itrust(p.objective, config, p.start))
+        options = {"out": str(tmp_path / name)}
+        paths.append(Path(_write_report(options, "trace", TRACE_COLUMNS, rows, {})[0]))
+    p1, p2 = paths
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().strip().splitlines()
     assert lines[0] == "t,delta,rho,f,grad_norm,model_value,step_inf_norm,accepted,solver_failed"
