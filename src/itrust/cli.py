@@ -40,6 +40,7 @@ from .trust_region import (
     ExactBallSolver,
     GridSolver,
     TrustRegionConfig,
+    TrustRegionRecord,
     itrust,
 )
 
@@ -220,54 +221,22 @@ def _write_campaign(options: dict, stem: str, rows: list[dict], summary: dict):
 
 
 def _solver_spec(options: dict):
-    name = options["solver"]
-    if name == "ecim":
-        return EcimConfig(
-            schedule=options["schedule"],
-            beta0=options["beta0"],
-            sigma2=options["sigma2"],
-            iterations=options["K"],
-            seed=options["seed"],
-            modulate_noise=options["modulate_noise"],
-        )
-    if name == "exact-ball":
-        return ExactBallSolver()
-    return GridSolver()
+    """The backend ``--solver`` names. The machine's options are validated
+    for every backend, even one that runs no machine."""
+    machine = EcimConfig(
+        schedule=options["schedule"],
+        beta0=options["beta0"],
+        sigma2=options["sigma2"],
+        iterations=options["K"],
+        seed=options["seed"],
+        modulate_noise=options["modulate_noise"],
+    )
+    backends = {"ecim": machine, "exact-ball": ExactBallSolver(), "grid": GridSolver()}
+    return backends[options["solver"]]
 
 
 # ---------------------------------------------------------------------------
 # solve
-
-# The columns of solve's trace, one row per outer iteration.
-TRACE_COLUMNS = (
-    "t",
-    "delta",
-    "rho",
-    "f",
-    "grad_norm",
-    "model_value",
-    "step_inf_norm",
-    "accepted",
-    "solver_failed",
-)
-
-
-def _trace_rows(trace) -> list[list]:
-    """A ``TrustRegionTrace``'s records as rows of ``TRACE_COLUMNS``."""
-    return [
-        [
-            r.t,
-            float(r.delta),
-            r.rho,
-            r.f_value,
-            r.grad_norm,
-            r.model_value,
-            r.step_inf_norm,
-            r.accepted,
-            r.solver_failed,
-        ]
-        for r in trace.records
-    ]
 
 
 def cmd_solve(options: dict) -> int:
@@ -302,12 +271,7 @@ def cmd_solve(options: dict) -> int:
 
     stem = f"solve-{problem.name}-{options['solver']}-seed{options['seed']}"
     trace_path, summary_path = _write_report(
-        options,
-        stem,
-        TRACE_COLUMNS,
-        _trace_rows(trace),
-        summary,
-        rows_suffix=".trace.csv",
+        options, stem, TrustRegionRecord._fields, trace.records, summary, ".trace.csv"
     )
 
     print(
@@ -718,6 +682,10 @@ def main(argv: list[str] | None = None) -> int:
         # KeyError quotes its message, so print the message itself.
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"usage error: {message}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # The package opens files only to write the report into --out.
+        print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, FloatingPointError) as exc:
         # Machine divergence, oracle non-convergence, non-finite objectives.

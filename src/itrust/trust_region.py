@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -232,26 +232,21 @@ def solve_subproblem(
     return step, energy(model, step)
 
 
-@dataclass
-class TrustRegionRecord:
-    """One outer iteration. ``step`` is None when the solver failed; ``rho``
-    is nan when the solver failed or the model predicts no decrease, and
-    -inf when the objective is not finite at the trial point."""
+class TrustRegionRecord(NamedTuple):
+    """One outer iteration, a row of ``itrust solve``'s trace whose columns
+    are the fields in order. ``rho`` is nan when the solver failed or the
+    model predicts no decrease, and -inf when the objective is not finite at
+    the trial point."""
 
     t: int
-    theta: np.ndarray
     delta: float
     rho: float
-    step: np.ndarray | None
-    model_value: float
-    f_value: float
-    accepted: bool
+    f: float
     grad_norm: float
+    model_value: float
     step_inf_norm: float
-
-    @property
-    def solver_failed(self) -> bool:
-        return self.step is None
+    accepted: bool
+    solver_failed: bool
 
 
 @dataclass
@@ -362,15 +357,14 @@ def itrust(
         records.append(
             TrustRegionRecord(
                 t=t,
-                theta=theta.copy(),
-                delta=delta,
+                delta=float(delta),
                 rho=rho,
-                step=step,
-                model_value=mval,
-                f_value=f_cur,
-                accepted=accepted,
+                f=f_cur,
                 grad_norm=grad_norm,
+                model_value=mval,
                 step_inf_norm=step_inf,
+                accepted=accepted,
+                solver_failed=step is None,
             )
         )
         delta = max(update_radius(rho, delta, step_inf, config), _DELTA_FLOOR)

@@ -17,6 +17,7 @@ import numpy as np
 from itrust import (
     EcimConfig,
     TrustRegionConfig,
+    TrustRegionRecord,
     energy,
     estimate_constants,
     estimate_mu_p,
@@ -27,14 +28,7 @@ from itrust import (
     random_box_quadratic,
     run_ecim,
 )
-from itrust.cli import (
-    TRACE_COLUMNS,
-    _compare_cell,
-    _rate_campaign,
-    _trace_rows,
-    _verify_cell,
-    _write_report,
-)
+from itrust.cli import _compare_cell, _rate_campaign, _verify_cell, _write_report
 from tests.reference import ecim_step, energy_gradient, gradient_mapping
 
 # Outer-loop thresholds used by the full-suite runs. Every rejection shrinks
@@ -283,9 +277,9 @@ def test_criterion_10_trace_determinism(tmp_path):
     )
     outer = []
     for name in ("a", "b"):
-        rows = _trace_rows(itrust(problem.objective, config, problem.start))
+        rows = itrust(problem.objective, config, problem.start).records
         options = {"out": str(tmp_path / name)}
-        path, _ = _write_report(options, "trace", TRACE_COLUMNS, rows, {})
+        path, _ = _write_report(options, "trace", TrustRegionRecord._fields, rows, {})
         with open(path, "rb") as fh:
             outer.append(fh.read())
 

@@ -418,15 +418,33 @@ def test_out_of_range_option_is_usage_error(tmp_path, capsys):
         ["--problem", "quad2", "--sigma2", "nan"],
         ["--problem", "quad2", "--beta0", "inf"],
         ["--problem", "quad2", "--gtol", "nan"],
+        # The machine's options are checked for every backend.
+        ["--problem", "quad2", "--solver", "exact-ball", "--K", "0"],
+        ["--problem", "quad2", "--solver", "exact-ball", "--sigma2", "nan"],
+        ["--problem", "quad2", "--solver", "grid", "--K", "0"],
+        ["--problem", "quad2", "--solver", "grid", "--beta0", "inf"],
     ):
         rc = main(["solve", *extra, "--out", str(tmp_path)])
         assert rc == EXIT_USAGE, extra
         assert "usage error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
     # A --beta0 that is not a number is named by the parser.
     with pytest.raises(SystemExit) as info:
         main(["solve", "--problem", "quad2", "--beta0", "abc", "--out", str(tmp_path)])
     assert info.value.code == EXIT_USAGE
     assert "argument --beta0: not a number: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_cannot_be_created_is_usage_error(tmp_path, capsys, below):
+    # --out names a regular file, or a directory below one.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    argv = ["verify-bounds", "--n", "1", "--seeds", "0", "--K", "1000"]
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot write --out: ") and str(out) in err
 
 
 def test_csv_writer_cell_formats(tmp_path):

@@ -18,6 +18,7 @@ from itrust import (
     Objective,
     QuadraticModel,
     TrustRegionConfig,
+    TrustRegionRecord,
     energy,
     get_problem,
     grid_minimize_box,
@@ -30,7 +31,7 @@ from itrust import (
     step_sizes,
     update_radius,
 )
-from itrust.cli import TRACE_COLUMNS, _trace_rows, _write_report
+from itrust.cli import _write_report
 from tests.reference import ecim_step, machine_energy
 
 # Small acceptance threshold: every useful step is taken.
@@ -291,27 +292,78 @@ def test_gtol_zero_gradient_converges_immediately():
     assert trace.n_iterations == 0
 
 
+def logging_objective(objective):
+    """``objective`` and the log it appends ("f", point) or ("g", point) to
+    at each value or gradient evaluation."""
+    log = []
+
+    def value(t):
+        log.append(("f", t.copy()))
+        return objective.value(t)
+
+    def gradient(t):
+        log.append(("g", t.copy()))
+        return objective.gradient(t)
+
+    return Objective(objective.dim, value, gradient, objective.hessian), log
+
+
+def replay_iterates(trace, log):
+    """The iterate each record of a run with ``gtol=None`` started from,
+    replayed from the run's evaluation log and checked against it.
+
+    After f at the start point, an iteration from a new iterate evaluates
+    the gradient there first; a rejected iteration evaluates none, and the
+    iteration after it starts from the same iterate. f is evaluated once, at
+    the trial point, exactly when the model predicts a decrease, and the
+    trial point lies a step of the recorded inf-norm away. An accepted trial
+    point is bitwise the next gradient point, and the last one is
+    ``theta_final``."""
+    events = iter(log)
+    kind, theta = next(events)
+    assert kind == "f"
+    starts, fresh = [], True
+    for r in trace.records:
+        if fresh:
+            kind, point = next(events)
+            assert kind == "g" and np.array_equal(point, theta)
+        starts.append(theta)
+        if r.model_value < 0.0:
+            kind, trial = next(events)
+            assert kind == "f"
+            step_inf = np.abs(trial - theta).max()
+            tol = 1e-15 * (1.0 + np.abs(theta).max())
+            assert step_inf == pytest.approx(r.step_inf_norm, rel=0.0, abs=tol)
+        if r.accepted:
+            theta = trial
+        fresh = r.accepted
+    assert next(events, None) is None
+    assert np.array_equal(trace.theta_final, theta)
+    return starts
+
+
 def test_loop_invariants_on_noisy_run():
-    p = get_problem("quad2")
+    # rosenbrock2's models are not all positive definite, so the noisy
+    # machine runs; some of its steps are accepted and some are rejected
+    # after f was evaluated at their trial point.
+    p = get_problem("rosenbrock2")
     config = TrustRegionConfig(
         solver=EcimConfig(iterations=60, sigma2=0.05, seed=3),
         iterations=40,
         delta_max=4.0,
         gtol=None,
     )
-    trace = itrust(p.objective, config, p.start)
-    thetas = [r.theta for r in trace.records] + [trace.theta_final]
+    objective, log = logging_objective(p.objective)
+    trace = itrust(objective, config, p.start)
+    replay_iterates(trace, log)
+    assert any(r.accepted for r in trace.records)
+    assert any(not r.accepted and r.model_value < 0.0 for r in trace.records)
     for i, r in enumerate(trace.records):
         assert 0.0 < r.delta <= 4.0
         if not math.isnan(r.rho):
             assert r.accepted == (r.rho > config.eta)
         else:
             assert not r.accepted
-        if r.accepted:
-            assert np.array_equal(thetas[i + 1], r.theta + r.step)
-        else:
-            # Rejected iterations leave the iterate bitwise unchanged.
-            assert np.array_equal(thetas[i + 1], r.theta)
         if not math.isnan(r.rho) and r.rho < config.mu and i + 1 < len(trace.records):
             assert trace.records[i + 1].delta == pytest.approx(0.25 * r.delta)
 
@@ -581,11 +633,12 @@ def test_non_finite_trial_point_rejects_and_shrinks():
         hessian=lambda t: np.eye(1),
     )
     config = TrustRegionConfig(solver=ExactBallSolver(), iterations=5, gtol=None)
-    trace = itrust(obj, config, np.array([0.2]))
+    objective, log = logging_objective(obj)
+    trace = itrust(objective, config, np.array([0.2]))
     first = trace.records[0]
     assert first.rho == -math.inf and not first.accepted
     assert trace.records[1].delta == 0.25 * first.delta
-    assert np.array_equal(trace.records[1].theta, [0.2])
+    assert np.array_equal(replay_iterates(trace, log)[1], [0.2])
 
 
 def test_log_barrier_overshoot_recovers():
@@ -621,14 +674,33 @@ def test_trace_serialization(tmp_path):
     )
     paths = []
     for name in ("a", "b"):
-        rows = _trace_rows(itrust(p.objective, config, p.start))
+        rows = itrust(p.objective, config, p.start).records
         options = {"out": str(tmp_path / name)}
-        paths.append(Path(_write_report(options, "trace", TRACE_COLUMNS, rows, {})[0]))
+        header = TrustRegionRecord._fields
+        paths.append(Path(_write_report(options, "trace", header, rows, {})[0]))
     p1, p2 = paths
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().strip().splitlines()
     assert lines[0] == "t,delta,rho,f,grad_norm,model_value,step_inf_norm,accepted,solver_failed"
     assert len(lines) == 16
+
+
+def test_integer_radii_are_recorded_and_written_as_floats(tmp_path):
+    # The minimizer (10, 0) lies far from the start, so every ball step until
+    # the last touches the box and the radius grows from the int delta0 = 1
+    # to min(4.0, 3), the int delta_max.
+    obj = quadratic_objective(np.eye(2), [-10.0, 0.0])
+    config = TrustRegionConfig(solver=ExactBallSolver(), delta0=1, delta_max=3)
+    trace = itrust(obj, config, np.zeros(2))
+    assert trace.converged
+    deltas = [r.delta for r in trace.records]
+    assert deltas == [1.0, 2.0, 3.0, 3.0, 3.0]
+    assert all(type(d) is float for d in deltas)
+    path, _ = _write_report(
+        {"out": str(tmp_path)}, "trace", TrustRegionRecord._fields, trace.records, {}
+    )
+    column = [line.split(",")[1] for line in Path(path).read_text().splitlines()]
+    assert column == ["delta", "1.0", "2.0", "3.0", "3.0", "3.0"]
 
 
 # ---------------------------------------------------------------------------
